@@ -113,15 +113,21 @@ bool Setup(InterpWorld* iw, const char* prog, const char* db, Engine engine,
 }
 
 // Execs the image and drives it to exit; returns the simulated instructions
-// retired (machine tick delta), or 0 on failure.
-uint64_t RunOnce(InterpWorld* iw, benchmark::State& state) {
+// retired (machine tick delta), or 0 on failure. |run_time|, when given, gets the
+// wall time of the run alone, without the exec (process creation and ldl startup).
+uint64_t RunOnce(InterpWorld* iw, benchmark::State& state,
+                 std::chrono::nanoseconds* run_time = nullptr) {
   Result<ExecResult> run = iw->world.Exec(iw->image);
   if (!run.ok()) {
     state.SkipWithError("exec failed");
     return 0;
   }
   uint64_t before = iw->world.machine().ticks();
+  std::chrono::steady_clock::time_point start = std::chrono::steady_clock::now();
   Result<int> exit_code = iw->world.RunToExit(run->pid);
+  if (run_time != nullptr) {
+    *run_time += std::chrono::steady_clock::now() - start;
+  }
   if (!exit_code.ok()) {
     state.SkipWithError("run failed");
     return 0;
@@ -177,24 +183,18 @@ void BM_SpeedupVsSlow(benchmark::State& state, Engine fast_engine) {
       !Setup(&slow, kArithProg, nullptr, Engine::kSlow, state)) {
     return;
   }
-  using Clock = std::chrono::steady_clock;
   std::chrono::nanoseconds fast_ns{0};
   std::chrono::nanoseconds slow_ns{0};
   uint64_t fast_instrs = 0;
   uint64_t slow_instrs = 0;
   for (auto _ : state) {
-    Clock::time_point t0 = Clock::now();
-    uint64_t f = RunOnce(&fast, state);
-    Clock::time_point t1 = Clock::now();
-    uint64_t s = RunOnce(&slow, state);
-    Clock::time_point t2 = Clock::now();
+    uint64_t f = RunOnce(&fast, state, &fast_ns);
+    uint64_t s = RunOnce(&slow, state, &slow_ns);
     if (f == 0 || s == 0) {
       return;
     }
     fast_instrs += f;
     slow_instrs += s;
-    fast_ns += t1 - t0;
-    slow_ns += t2 - t1;
   }
   double fast_ips = static_cast<double>(fast_instrs) / (fast_ns.count() * 1e-9);
   double slow_ips = static_cast<double>(slow_instrs) / (slow_ns.count() * 1e-9);
@@ -203,9 +203,11 @@ void BM_SpeedupVsSlow(benchmark::State& state, Engine fast_engine) {
   state.counters["speedup"] = fast_ips / slow_ips;
   // jit_compiled distinguishes "the JIT really ran" from "the gate would pass
   // vacuously" — bench_compare only enforces the JIT floor when it is nonzero
-  // (hosts that cannot run generated code fall back to the block cache).
-  state.counters["jit_compiled"] = static_cast<double>(
-      fast.world.machine().metrics().Get("vm.jit.compiled_blocks"));
+  // (hosts that cannot run generated code fall back to the block cache). Per run,
+  // like the workload rows, so it does not scale with the iteration count.
+  state.counters["jit_compiled"] =
+      static_cast<double>(fast.world.machine().metrics().Get("vm.jit.compiled_blocks")) /
+      static_cast<double>(state.iterations());
 }
 
 void BM_InterpSpeedup(benchmark::State& state) {

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <map>
+#include <optional>
 #include <vector>
 
 #include "src/base/strings.h"
@@ -478,23 +479,101 @@ class CodeGen {
     return type.IsInteger() || type.IsPointer();
   }
 
+  // Loads a scalar of |type| from |offset|(|base|) into |reg| (lb sign-extends chars).
+  void EmitLoad(const Type& type, uint8_t reg, uint8_t base, int32_t offset = 0) {
+    Emit(EncodeI(type.kind == Type::K::kChar ? Op::kLb : Op::kLw, reg, base,
+                 static_cast<uint16_t>(offset)));
+  }
+
+  // Stores |reg| as a scalar of |type| to |offset|(|base|).
+  void EmitStore(const Type& type, uint8_t reg, uint8_t base, int32_t offset = 0) {
+    Emit(EncodeI(type.kind == Type::K::kChar ? Op::kSb : Op::kSw, reg, base,
+                 static_cast<uint16_t>(offset)));
+  }
+
   // Loads the value at the address in $v0, with type |type|, back into $v0.
   // Arrays and structs "load" as their address (decay).
   void EmitLoadFromAddr(const Type& type) {
-    if (type.kind == Type::K::kChar) {
-      Emit(EncodeI(Op::kLb, kRegV0, kRegV0, 0));
-    } else if (IsScalar(type)) {
-      Emit(EncodeI(Op::kLw, kRegV0, kRegV0, 0));
+    if (IsScalar(type)) {
+      EmitLoad(type, kRegV0, kRegV0);
     }
     // kArray / kStruct: the address is the value.
   }
 
-  // Stores $t1 (value) through the address in $t0 with type |type|.
-  void EmitStoreToAddr(const Type& type) {
-    if (type.kind == Type::K::kChar) {
-      Emit(EncodeI(Op::kSb, kRegT1, kRegT0, 0));
+  // A leaf's code writes only $v0: a constant, a string or a named variable.
+  static bool IsLeaf(const Expr& e) {
+    return e.kind == ExprKind::kNumber || e.kind == ExprKind::kString ||
+           e.kind == ExprKind::kIdent || e.kind == ExprKind::kSizeofType ||
+           e.kind == ExprKind::kSizeofExpr;
+  }
+
+  // Calls (direct, indirect or syscall intrinsic) do not preserve the $t registers.
+  static bool MakesCall(const Expr* e) {
+    if (e == nullptr) {
+      return false;
+    }
+    return e->kind == ExprKind::kCall || MakesCall(e->lhs.get()) || MakesCall(e->rhs.get()) ||
+           MakesCall(e->third.get());
+  }
+
+  // Generates |right| while the left operand's value, now in $v0, is held: in $t0 when
+  // |right| is a leaf, in the next free register of $t3-$t7 when |right| makes no call,
+  // and on the memory stack otherwise. Leaves the right value in $v0 and names the
+  // register holding the left one in |*left|.
+  Result<TypeRef> GenRightOperand(const Expr& right, uint8_t* left) {
+    uint8_t hold = kRegSp;
+    if (IsLeaf(right)) {
+      hold = kRegT0;
+    } else if (!MakesCall(&right) && held_ < kHoldRegs) {
+      hold = static_cast<uint8_t>(kRegT3 + held_++);
+    }
+    if (hold == kRegSp) {
+      EmitPush(kRegV0);
     } else {
-      Emit(EncodeI(Op::kSw, kRegT1, kRegT0, 0));
+      EmitMove(hold, kRegV0);
+    }
+    ASSIGN_OR_RETURN(TypeRef type, GenExpr(right));
+    if (hold == kRegSp) {
+      EmitPop(kRegT0);
+      hold = kRegT0;
+    } else if (hold != kRegT0) {
+      --held_;
+    }
+    *left = hold;
+    return type;
+  }
+
+  // Where a scalar lvalue lives: at |offset|(|base|).
+  struct Place {
+    TypeRef type;
+    uint8_t base = kRegV0;
+    int32_t offset = 0;
+  };
+
+  // Looks |e| up as a named scalar variable, without emitting code. A local is
+  // $fp-relative; a global is at 0($t0) once EmitGlobalBase ran.
+  std::optional<Place> FindNamedScalar(const Expr& e) const {
+    if (e.kind != ExprKind::kIdent) {
+      return std::nullopt;
+    }
+    if (const LocalVar* local = FindLocal(e.text)) {
+      if (!IsScalar(*local->type)) {
+        return std::nullopt;
+      }
+      return Place{local->type, kRegFp, local->fp_offset};
+    }
+    auto it = globals_.find(e.text);
+    if (it == globals_.end() || it->second.is_function || !IsScalar(*it->second.type)) {
+      return std::nullopt;
+    }
+    return Place{it->second.type, kRegT0, 0};
+  }
+
+  // Puts a named global's link-time address in $t0 (LUI/ORI): no memory is touched,
+  // so nothing can fault. Locals need no code.
+  void EmitGlobalBase(const Expr& name, const Place& place) {
+    if (place.base == kRegT0) {
+      EmitLoadSymbolAddr(kRegT0, name.text);
     }
   }
 
@@ -530,15 +609,13 @@ class CodeGen {
           return Error(e.line, "cannot index non-pointer (" + TypeToString(*base) + ")");
         }
         TypeRef elem = base->elem;
-        EmitPush(kRegV0);
-        ASSIGN_OR_RETURN(TypeRef idx, GenExpr(*e.rhs));
+        uint8_t left = 0;
+        ASSIGN_OR_RETURN(TypeRef idx, GenRightOperand(*e.rhs, &left));
         if (!idx->IsInteger()) {
           return Error(e.line, "array index must be an integer");
         }
-        uint32_t scale = TypeSize(*elem);
-        EmitScaleV0(scale);
-        EmitPop(kRegT0);
-        Emit(EncodeR(Funct::kAdd, kRegV0, kRegT0, kRegV0));
+        EmitScaleV0(TypeSize(*elem));
+        Emit(EncodeR(Funct::kAdd, kRegV0, left, kRegV0));
         return elem;
       }
       case ExprKind::kMember: {
@@ -606,9 +683,7 @@ class CodeGen {
             Emit(EncodeI(Op::kAddi, kRegV0, kRegFp, static_cast<uint16_t>(local->fp_offset)));
             return MakePtr(local->type->elem);
           }
-          Emit(local->type->kind == Type::K::kChar
-                   ? EncodeI(Op::kLb, kRegV0, kRegFp, static_cast<uint16_t>(local->fp_offset))
-                   : EncodeI(Op::kLw, kRegV0, kRegFp, static_cast<uint16_t>(local->fp_offset)));
+          EmitLoad(*local->type, kRegV0, kRegFp, local->fp_offset);
           return local->type;
         }
         auto it = globals_.find(e.text);
@@ -788,11 +863,12 @@ class CodeGen {
     }
 
     ASSIGN_OR_RETURN(TypeRef lt, GenExpr(*e.lhs));
-    EmitPush(kRegV0);
-    ASSIGN_OR_RETURN(TypeRef rt, GenExpr(*e.rhs));
-    EmitMove(kRegT1, kRegV0);
-    EmitPop(kRegT0);
-    // t0 = lhs, t1 = rhs.
+    if (lt->IsInteger() && e.rhs->kind == ExprKind::kNumber &&
+        EmitImmediateOp(e.op, e.rhs->number)) {
+      return MakeInt();
+    }
+    uint8_t l = 0;  // holds the left value; the right one is in $v0
+    ASSIGN_OR_RETURN(TypeRef rt, GenRightOperand(*e.rhs, &l));
 
     bool l_ptr = lt->IsPointer();
     bool r_ptr = rt->IsPointer();
@@ -800,135 +876,170 @@ class CodeGen {
     switch (e.op) {
       case Tok::kPlus: {
         if (l_ptr && rt->IsInteger()) {
-          EmitMove(kRegV0, kRegT1);
           EmitScaleV0(TypeSize(*lt->elem));
-          Emit(EncodeR(Funct::kAdd, kRegV0, kRegT0, kRegV0));
+          Emit(EncodeR(Funct::kAdd, kRegV0, l, kRegV0));
           return lt;
         }
         if (r_ptr && lt->IsInteger()) {
-          EmitMove(kRegV0, kRegT0);
+          EmitMove(kRegT1, kRegV0);
+          EmitMove(kRegV0, l);
           EmitScaleV0(TypeSize(*rt->elem));
           Emit(EncodeR(Funct::kAdd, kRegV0, kRegV0, kRegT1));
           return rt;
         }
-        Emit(EncodeR(Funct::kAdd, kRegV0, kRegT0, kRegT1));
+        Emit(EncodeR(Funct::kAdd, kRegV0, l, kRegV0));
         return MakeInt();
       }
       case Tok::kMinus: {
         if (l_ptr && rt->IsInteger()) {
-          EmitMove(kRegV0, kRegT1);
           EmitScaleV0(TypeSize(*lt->elem));
-          Emit(EncodeR(Funct::kSub, kRegV0, kRegT0, kRegV0));
+          Emit(EncodeR(Funct::kSub, kRegV0, l, kRegV0));
           return lt;
         }
+        Emit(EncodeR(Funct::kSub, kRegV0, l, kRegV0));
         if (l_ptr && r_ptr) {
-          Emit(EncodeR(Funct::kSub, kRegV0, kRegT0, kRegT1));
           uint32_t scale = TypeSize(*lt->elem);
           if (scale > 1) {
             EmitLoadImm(kRegT2, scale);
             Emit(EncodeR(Funct::kDiv, kRegV0, kRegV0, kRegT2));
           }
-          return MakeInt();
         }
-        Emit(EncodeR(Funct::kSub, kRegV0, kRegT0, kRegT1));
         return MakeInt();
       }
       case Tok::kStar:
-        Emit(EncodeR(Funct::kMul, kRegV0, kRegT0, kRegT1));
+        Emit(EncodeR(Funct::kMul, kRegV0, l, kRegV0));
         return MakeInt();
       case Tok::kSlash:
-        Emit(EncodeR(Funct::kDiv, kRegV0, kRegT0, kRegT1));
+        Emit(EncodeR(Funct::kDiv, kRegV0, l, kRegV0));
         return MakeInt();
       case Tok::kPercent:
-        Emit(EncodeR(Funct::kMod, kRegV0, kRegT0, kRegT1));
+        Emit(EncodeR(Funct::kMod, kRegV0, l, kRegV0));
         return MakeInt();
       case Tok::kAmp:
-        Emit(EncodeR(Funct::kAnd, kRegV0, kRegT0, kRegT1));
+        Emit(EncodeR(Funct::kAnd, kRegV0, l, kRegV0));
         return MakeInt();
       case Tok::kPipe:
-        Emit(EncodeR(Funct::kOr, kRegV0, kRegT0, kRegT1));
+        Emit(EncodeR(Funct::kOr, kRegV0, l, kRegV0));
         return MakeInt();
       case Tok::kCaret:
-        Emit(EncodeR(Funct::kXor, kRegV0, kRegT0, kRegT1));
+        Emit(EncodeR(Funct::kXor, kRegV0, l, kRegV0));
         return MakeInt();
       case Tok::kShl:
-        Emit(EncodeR(Funct::kSllv, kRegV0, kRegT1, kRegT0));
+        Emit(EncodeR(Funct::kSllv, kRegV0, kRegV0, l));
         return MakeInt();
       case Tok::kShr:
-        Emit(EncodeR(Funct::kSrav, kRegV0, kRegT1, kRegT0));
+        Emit(EncodeR(Funct::kSrav, kRegV0, kRegV0, l));
         return MakeInt();
       case Tok::kEqEq:
-        Emit(EncodeR(Funct::kXor, kRegV0, kRegT0, kRegT1));
+        Emit(EncodeR(Funct::kXor, kRegV0, l, kRegV0));
         Emit(EncodeI(Op::kSltiu, kRegV0, kRegV0, 1));
         return MakeInt();
       case Tok::kNotEq:
-        Emit(EncodeR(Funct::kXor, kRegV0, kRegT0, kRegT1));
+        Emit(EncodeR(Funct::kXor, kRegV0, l, kRegV0));
         Emit(EncodeR(Funct::kSltu, kRegV0, kRegZero, kRegV0));
         return MakeInt();
       case Tok::kLt:
-        Emit(l_ptr || r_ptr ? EncodeR(Funct::kSltu, kRegV0, kRegT0, kRegT1)
-                            : EncodeR(Funct::kSlt, kRegV0, kRegT0, kRegT1));
+      case Tok::kGe:
+        Emit(EncodeR(l_ptr || r_ptr ? Funct::kSltu : Funct::kSlt, kRegV0, l, kRegV0));
+        if (e.op == Tok::kGe) {
+          Emit(EncodeI(Op::kXori, kRegV0, kRegV0, 1));
+        }
         return MakeInt();
       case Tok::kGt:
-        Emit(l_ptr || r_ptr ? EncodeR(Funct::kSltu, kRegV0, kRegT1, kRegT0)
-                            : EncodeR(Funct::kSlt, kRegV0, kRegT1, kRegT0));
-        return MakeInt();
       case Tok::kLe:
-        Emit(l_ptr || r_ptr ? EncodeR(Funct::kSltu, kRegV0, kRegT1, kRegT0)
-                            : EncodeR(Funct::kSlt, kRegV0, kRegT1, kRegT0));
-        Emit(EncodeI(Op::kXori, kRegV0, kRegV0, 1));
-        return MakeInt();
-      case Tok::kGe:
-        Emit(l_ptr || r_ptr ? EncodeR(Funct::kSltu, kRegV0, kRegT0, kRegT1)
-                            : EncodeR(Funct::kSlt, kRegV0, kRegT0, kRegT1));
-        Emit(EncodeI(Op::kXori, kRegV0, kRegV0, 1));
+        Emit(EncodeR(l_ptr || r_ptr ? Funct::kSltu : Funct::kSlt, kRegV0, kRegV0, l));
+        if (e.op == Tok::kLe) {
+          Emit(EncodeI(Op::kXori, kRegV0, kRegV0, 1));
+        }
         return MakeInt();
       default:
         return Error(e.line, "unsupported binary operator");
     }
   }
 
-  Result<TypeRef> GenAssign(const Expr& e) {
-    ASSIGN_OR_RETURN(TypeRef ltype, GenAddr(*e.lhs));
-    if (!IsScalar(*ltype)) {
-      return Error(e.line, "assignment requires a scalar lvalue (no struct assignment)");
-    }
-    EmitPush(kRegV0);  // address
-    ASSIGN_OR_RETURN(TypeRef rtype, GenExpr(*e.rhs));
-    EmitMove(kRegT1, kRegV0);
-    EmitPop(kRegT0);
-    if (e.op == Tok::kPlusAssign || e.op == Tok::kMinusAssign) {
-      // t2 = *addr; t1 = t2 op t1 (with pointer scaling).
-      Emit(ltype->kind == Type::K::kChar ? EncodeI(Op::kLb, kRegT2, kRegT0, 0)
-                                         : EncodeI(Op::kLw, kRegT2, kRegT0, 0));
-      if (ltype->IsPointer() && rtype->IsInteger()) {
-        EmitMove(kRegV0, kRegT1);
-        EmitScaleV0(TypeSize(*ltype->elem));
-        EmitMove(kRegT1, kRegV0);
+  // Folds `$v0 = $v0 op imm` into one immediate instruction when |imm| fits its 16-bit
+  // field: sign-extended for addi/slti, zero-extended for andi/ori/xori. Returns false,
+  // emitting nothing, when it does not.
+  bool EmitImmediateOp(Tok op, int32_t imm) {
+    auto emit = [this](Op opcode, int64_t value, int64_t lo, int64_t hi) {
+      if (value < lo || value > hi) {
+        return false;
       }
-      Emit(e.op == Tok::kPlusAssign ? EncodeR(Funct::kAdd, kRegT1, kRegT2, kRegT1)
-                                    : EncodeR(Funct::kSub, kRegT1, kRegT2, kRegT1));
+      Emit(EncodeI(opcode, kRegV0, kRegV0, static_cast<uint16_t>(value)));
+      return true;
+    };
+    switch (op) {
+      case Tok::kPlus:
+        return emit(Op::kAddi, imm, -32768, 32767);
+      case Tok::kMinus:
+        return emit(Op::kAddi, -static_cast<int64_t>(imm), -32768, 32767);
+      case Tok::kLt:
+        return emit(Op::kSlti, imm, -32768, 32767);
+      case Tok::kAmp:
+        return emit(Op::kAndi, imm, 0, 65535);
+      case Tok::kPipe:
+        return emit(Op::kOri, imm, 0, 65535);
+      case Tok::kCaret:
+        return emit(Op::kXori, imm, 0, 65535);
+      default:
+        return false;
     }
-    EmitStoreToAddr(*ltype);
-    EmitMove(kRegV0, kRegT1);  // assignment yields the stored value
-    return ltype;
+  }
+
+  // A named scalar is assigned right side first, then addressed without touching
+  // memory (FindNamedScalar). Any other lvalue is addressed first and held while the
+  // right side is generated. Pointer `+=`/`-=` scale the right side before $t2 is
+  // loaded with the old value, since scaling by a non-power of two uses $t2 too.
+  Result<TypeRef> GenAssign(const Expr& e) {
+    std::optional<Place> named = FindNamedScalar(*e.lhs);
+    Place place;
+    TypeRef rtype;
+    if (named) {
+      place = *named;
+      ASSIGN_OR_RETURN(rtype, GenExpr(*e.rhs));
+    } else {
+      ASSIGN_OR_RETURN(place.type, GenAddr(*e.lhs));
+      if (!IsScalar(*place.type)) {
+        return Error(e.line, "assignment requires a scalar lvalue (no struct assignment)");
+      }
+      ASSIGN_OR_RETURN(rtype, GenRightOperand(*e.rhs, &place.base));
+    }
+    bool compound = e.op == Tok::kPlusAssign || e.op == Tok::kMinusAssign;
+    if (compound && place.type->IsPointer() && rtype->IsInteger()) {
+      EmitScaleV0(TypeSize(*place.type->elem));
+    }
+    if (named) {
+      EmitGlobalBase(*e.lhs, place);
+    }
+    if (compound) {
+      EmitLoad(*place.type, kRegT2, place.base, place.offset);
+      Emit(e.op == Tok::kPlusAssign ? EncodeR(Funct::kAdd, kRegV0, kRegT2, kRegV0)
+                                    : EncodeR(Funct::kSub, kRegV0, kRegT2, kRegV0));
+    }
+    EmitStore(*place.type, kRegV0, place.base, place.offset);  // $v0 is also the result
+    return place.type;
   }
 
   Result<TypeRef> GenIncDec(const Expr& e) {
-    ASSIGN_OR_RETURN(TypeRef type, GenAddr(*e.lhs));
-    if (!IsScalar(*type)) {
-      return Error(e.line, "++/-- requires a scalar lvalue");
+    Place place;
+    if (std::optional<Place> named = FindNamedScalar(*e.lhs)) {
+      place = *named;
+      EmitGlobalBase(*e.lhs, place);
+    } else {
+      ASSIGN_OR_RETURN(place.type, GenAddr(*e.lhs));  // the address, in $v0
+      if (!IsScalar(*place.type)) {
+        return Error(e.line, "++/-- requires a scalar lvalue");
+      }
     }
-    EmitMove(kRegT0, kRegV0);
-    Emit(type->kind == Type::K::kChar ? EncodeI(Op::kLb, kRegT2, kRegT0, 0)
-                                      : EncodeI(Op::kLw, kRegT2, kRegT0, 0));
-    uint32_t delta = type->IsPointer() ? TypeSize(*type->elem) : 1;
+    const Type& type = *place.type;
+    EmitLoad(type, kRegT2, place.base, place.offset);
+    uint32_t delta = type.IsPointer() ? TypeSize(*type.elem) : 1;
     Emit(EncodeI(Op::kAddi, kRegT1, kRegT2,
                  static_cast<uint16_t>(e.op == Tok::kPlusPlus ? static_cast<int16_t>(delta)
                                                               : -static_cast<int16_t>(delta))));
-    EmitStoreToAddr(*type);
+    EmitStore(type, kRegT1, place.base, place.offset);
     EmitMove(kRegV0, e.kind == ExprKind::kPreIncDec ? kRegT1 : kRegT2);
-    return type;
+    return place.type;
   }
 
   Result<TypeRef> GenCall(const Expr& e) {
@@ -1011,9 +1122,7 @@ class CodeGen {
           const LocalVar* local = FindLocal(s.decl_name);
           ASSIGN_OR_RETURN(TypeRef rt, GenExpr(*s.expr));
           (void)rt;
-          Emit(s.decl_type->kind == Type::K::kChar
-                   ? EncodeI(Op::kSb, kRegV0, kRegFp, static_cast<uint16_t>(local->fp_offset))
-                   : EncodeI(Op::kSw, kRegV0, kRegFp, static_cast<uint16_t>(local->fp_offset)));
+          EmitStore(*s.decl_type, kRegV0, kRegFp, local->fp_offset);
         }
         return OkStatus();
       }
@@ -1150,6 +1259,7 @@ class CodeGen {
                                     fn.is_static ? SymBinding::kLocal : SymBinding::kGlobal));
     frame_size_ = 0;
     max_frame_size_ = 0;
+    held_ = 0;
     return_sites_.clear();
     loop_stack_.clear();
     scopes_.clear();
@@ -1208,6 +1318,9 @@ class CodeGen {
   std::vector<std::map<std::string, LocalVar>> scopes_;
   uint32_t frame_size_ = 0;
   uint32_t max_frame_size_ = 0;
+  // Left operands held in $t3.. by GenRightOperand; at most kHoldRegs at once.
+  static constexpr int kHoldRegs = 5;
+  int held_ = 0;
   std::vector<uint32_t> return_sites_;
   std::vector<LoopContext> loop_stack_;
 };

@@ -8,7 +8,8 @@
 //   * direct calls emit JAL with a JUMP26 relocation; when the static linker finds the
 //     target outside the 256 MB region it interposes a trampoline;
 //   * arguments are passed on the stack (pushed last-first); return value in $v0;
-//   * $fp-relative frames; $sp doubles as the expression temporary stack.
+//   * $fp-relative frames; a binary operator's left value waits in $t0 (leaf right
+//     operand) or $t3-$t7 (right operand without a call), else on the $sp stack.
 #ifndef SRC_LANG_CODEGEN_H_
 #define SRC_LANG_CODEGEN_H_
 

@@ -3,6 +3,7 @@
 #include <poll.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -51,6 +52,20 @@ void AppendInvalIfNew(std::vector<WireInval>* invals, const WireInval& inv) {
   if (std::find(invals->begin(), invals->end(), inv) == invals->end()) {
     invals->push_back(inv);
   }
+}
+
+// Blocks in poll(2) without holding |lock|, so SessionCount() callers are not
+// starved by the wait. Only the thread in PollOnce adds or drops sessions, so the
+// sockets in |fds| stay open while the lock is released. Returns poll's result,
+// with errno preserved across re-locking.
+int PollUnlocked(std::unique_lock<std::mutex>& lock, struct pollfd* fds, size_t count,
+                 int timeout_ms) {
+  lock.unlock();
+  int n = ::poll(fds, count, timeout_ms);
+  int poll_errno = errno;
+  lock.lock();
+  errno = poll_errno;
+  return n;
 }
 
 }  // namespace
@@ -174,7 +189,7 @@ Status SegmentServer::PollOnce(int timeout_ms) {
     // Warm failover: track the primary through its journal and wait. The
     // first client to dial us is the signal that the primary is gone.
     struct pollfd pfd = {listener_.fd(), POLLIN, 0};
-    int n = ::poll(&pfd, 1, timeout_ms);
+    int n = PollUnlocked(lock, &pfd, 1, timeout_ms);
     if (n < 0 && errno != EINTR) {
       return IoError(StrFormat("net: poll: %s", std::strerror(errno)));
     }
@@ -200,7 +215,7 @@ Status SegmentServer::PollOnce(int timeout_ms) {
     fds.push_back({session.conn.fd(), POLLIN, 0});
     ids.push_back(id);
   }
-  int n = ::poll(fds.data(), fds.size(), timeout_ms);
+  int n = PollUnlocked(lock, fds.data(), fds.size(), timeout_ms);
   if (n < 0) {
     if (errno == EINTR) {
       return OkStatus();

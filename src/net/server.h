@@ -198,7 +198,9 @@ class SegmentServer {
   uint64_t* c_journal_records_ = nullptr;
   uint64_t* c_checkpoints_ = nullptr;
 
-  mutable std::mutex mu_;  // guards sessions_ against SessionCount() from tests
+  // Guards sessions_ against SessionCount() from other threads; PollOnce
+  // releases it while blocked in poll(2).
+  mutable std::mutex mu_;
   std::map<uint32_t, Session> sessions_;
   uint32_t next_session_ = 1;
   int next_pseudo_pid_ = 1 << 20;  // far above any simulated pid

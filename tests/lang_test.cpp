@@ -426,7 +426,50 @@ INSTANTIATE_TEST_SUITE_P(
             putint(7 / -2); puts("\n");
             return 0;
           })",
-                 "-3 -1 -3\n"}),
+                 "-3 -1 -3\n"},
+        // A 12-byte element scales by multiplying through $t2, which the old value
+        // of the pointer must not share.
+        ExecCase{"pointer_compound_assign_odd_stride", R"(
+          struct T { int a; int b; int c; };
+          struct T arr[4];
+          struct T* gp;
+          int main(void) {
+            struct T* p;
+            struct T* q;
+            struct T* ps[2];
+            p = &arr[0];
+            q = p + 2;
+            p += 2;
+            putint(p == q);
+            p -= 1;
+            putint(p == q - 1);
+            gp = &arr[3];
+            gp -= 2;
+            putint(gp == &arr[1]);
+            ps[1] = &arr[0];
+            ps[1] += 3;
+            putint(ps[1] == &arr[3]);
+            puts("\n");
+            if (p == &arr[1]) return 7;
+            return 0;
+          })",
+                 "1111\n"},
+        // Call-free right operands nest past the five holding registers ($t3-$t7)
+        // and fall back to the stack; a right operand with a call always does.
+        ExecCase{"held_operands_nest_and_spill", R"(
+          int twice(int x) { return x + x; }
+          int main(void) {
+            int a; int b; int c; int d; int e; int f; int g; int h;
+            a = 100; b = 50; c = 20; d = 9; e = 7; f = 5; g = 3; h = 2;
+            putint(a - (b - (c - (d - (e - (f - (g - h * 1)))))));
+            puts(" ");
+            putint(a - (b * twice(c - (d + 1))));
+            puts(" ");
+            putint((a + b) * (c - twice(d - e * (f - g))) - h);
+            puts("\n");
+            return 0;
+          })",
+                 "64 -900 4498\n"}),
     [](const ::testing::TestParamInfo<ExecCase>& info) { return info.param.name; });
 
 TEST(CodegenErrorTest, DiagnosticsFromCodegen) {

@@ -5,6 +5,7 @@
 // of the shared-counter scenario is byte-identical to the single-node run, and
 // a client killed mid-lease leaves the authoritative partition SfsCheck-clean
 // with the lease reclaimed.
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <string>
@@ -1090,6 +1091,31 @@ TEST(NetIntegrationTest, HelloV1IsRefusedCleanly) {
 
   conn->Close();
   server.Stop();
+}
+
+// Regression: the serve loop held its session lock across poll(2), so
+// SessionCount() from another thread waited out the whole poll timeout. Here the
+// poll waits for a client that only connects after SessionCount() returns.
+TEST(NetIntegrationTest, SessionCountAnswersWhileTheServerIsPolling) {
+  SegmentServer server;
+  ASSERT_TRUE(server.Listen("127.0.0.1", 0).ok());
+  std::atomic<bool> polled{false};
+  std::thread serve([&] {
+    EXPECT_TRUE(server.PollOnce(60000).ok());
+    polled.store(true);
+  });
+  // Let the serve thread reach poll(2); the check below holds either way.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_EQ(server.SessionCount(), 0u);
+  EXPECT_EQ(server.TotalSessionCount(), 0u);
+  EXPECT_FALSE(polled.load()) << "SessionCount() waited for the poll to end";
+
+  Result<Conn> conn = DialTcp("127.0.0.1", server.port());  // ends the poll
+  ASSERT_TRUE(conn.ok());
+  serve.join();
+  EXPECT_TRUE(polled.load());
+  EXPECT_EQ(server.SessionCount(), 1u);
+  conn->Close();
 }
 
 // --- Abrupt death, grace, and lease reclaim ---
