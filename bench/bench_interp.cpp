@@ -11,9 +11,10 @@
 //
 // BM_InterpSpeedup runs the same program on both interpreter engines back to back
 // and reports the machine-independent ratio (block-cache instructions/sec over the
-// --slow-interp reference loop); ISSUE 4 pins it at >= 3x in CI. BM_JitSpeedup is
-// the same shape for the template-JIT tier (ISSUE 9: >= 6x over the reference
-// loop, gated only where the host can run generated code — jit_compiled > 0).
+// --slow-interp reference loop); CI pins its median over repetitions at >= 3x.
+// BM_JitSpeedup is the same shape for the template-JIT tier (>= 6x over the
+// reference loop, gated only where the host can run generated code —
+// jit_compiled > 0).
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -210,6 +211,8 @@ void BM_SpeedupVsSlow(benchmark::State& state, Engine fast_engine) {
       static_cast<double>(state.iterations());
 }
 
+constexpr int kSpeedupRepetitions = 5;
+
 void BM_InterpSpeedup(benchmark::State& state) {
   BM_SpeedupVsSlow(state, Engine::kCache);
 }
@@ -221,8 +224,10 @@ void BM_JitSpeedup(benchmark::State& state) {
 BENCHMARK(BM_TightArith)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_PointerChaseSfs)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_CallHeavy)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_InterpSpeedup)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_JitSpeedup)->Unit(benchmark::kMillisecond);
+// A speedup ratio from one run swings by ±5-10 % on a shared host, so these rows
+// repeat and tools/bench_compare.py gates their median aggregate.
+BENCHMARK(BM_InterpSpeedup)->Unit(benchmark::kMillisecond)->Repetitions(kSpeedupRepetitions);
+BENCHMARK(BM_JitSpeedup)->Unit(benchmark::kMillisecond)->Repetitions(kSpeedupRepetitions);
 
 }  // namespace
 }  // namespace hemlock

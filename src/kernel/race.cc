@@ -14,15 +14,13 @@ std::string RaceReport::ToString() const {
   return buf;
 }
 
-RaceDetector::RaceDetector(RaceOptions options) : options_(options) {
+RaceDetector::RaceDetector(MetricsRegistry& metrics, RaceOptions options)
+    : options_(options),
+      c_accesses_(metrics.Counter("vm.race.accesses_checked")),
+      c_sampled_out_(metrics.Counter("vm.race.accesses_sampled_out")),
+      c_sync_edges_(metrics.Counter("vm.race.sync_edges")),
+      c_races_(metrics.Counter("vm.race.races_found")) {
   if (options_.sample_period == 0) options_.sample_period = 1;
-}
-
-void RaceDetector::SetMetrics(MetricsRegistry* metrics) {
-  c_accesses_ = metrics->Counter("vm.race.accesses_checked");
-  c_sampled_out_ = metrics->Counter("vm.race.accesses_sampled_out");
-  c_sync_edges_ = metrics->Counter("vm.race.sync_edges");
-  c_races_ = metrics->Counter("vm.race.races_found");
 }
 
 void RaceDetector::JoinInto(VClock* dst, const VClock& src) {

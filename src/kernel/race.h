@@ -62,13 +62,12 @@ struct RaceReport {
 
 class RaceDetector {
  public:
-  explicit RaceDetector(RaceOptions options = {});
+  // Registers the "vm.race.*" counters in |metrics|, which must outlive this.
+  explicit RaceDetector(MetricsRegistry& metrics, RaceOptions options = {});
 
   RaceDetector(const RaceDetector&) = delete;
   RaceDetector& operator=(const RaceDetector&) = delete;
 
-  // Registers the "vm.race.*" counters.
-  void SetMetrics(MetricsRegistry* metrics);
   // Resolves a shared address to its segment path for reports.
   void SetAddrResolver(std::function<std::string(uint32_t)> resolver) {
     addr_resolver_ = std::move(resolver);
@@ -140,11 +139,10 @@ class RaceDetector {
 
   std::function<std::string(uint32_t)> addr_resolver_;
 
-  uint64_t scratch_ = 0;
-  uint64_t* c_accesses_ = &scratch_;
-  uint64_t* c_sampled_out_ = &scratch_;
-  uint64_t* c_sync_edges_ = &scratch_;
-  uint64_t* c_races_ = &scratch_;
+  uint64_t* c_accesses_;
+  uint64_t* c_sampled_out_;
+  uint64_t* c_sync_edges_;
+  uint64_t* c_races_;
 };
 
 }  // namespace hemlock

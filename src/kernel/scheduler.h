@@ -64,13 +64,11 @@ Result<SchedParams> ParseSchedSpec(const std::string& spec);
 
 class Scheduler {
  public:
-  Scheduler() = default;
+  // Registers the "vm.sched.*" counters in |metrics|, which must outlive this.
+  explicit Scheduler(MetricsRegistry& metrics);
 
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
-
-  // Registers the "vm.sched.*" counters. Call once, before any transition.
-  void SetMetrics(MetricsRegistry* metrics);
 
   // Selects the policy and reseeds the chaos RNG. Ready/wait queues are preserved
   // (a re-run of the same machine continues with whatever is still queued).
@@ -161,21 +159,11 @@ class Scheduler {
   // Per-core run queues (SMP mode; empty while num_cores_ == 1).
   struct CoreQueue {
     ReadyQueue ready;
-    // Per-core fallback cells, used until SetMetrics registers the real
-    // "vm.sched.core.<n>.*" counters. One cell per counter *per core* — the old
-    // shared |scratch_| fallback silently aggregated every core into one cell,
-    // so per-core numbers were garbage whenever metrics arrived late (or never).
-    // SetMetrics migrates accumulated fallback values into the registry.
-    uint64_t local_dispatches = 0;
-    uint64_t local_steals = 0;
-    uint64_t local_ticks = 0;
+    // This core's "vm.sched.core.<n>.*" registry cells.
     uint64_t* dispatches = nullptr;
     uint64_t* steals = nullptr;
     uint64_t* ticks = nullptr;
   };
-  // Points |core|'s counter handles at the registry (when available) or at the
-  // core's own fallback cells — never at shared storage.
-  void BindCoreCounters(int core, CoreQueue* q);
   int num_cores_ = 1;
   std::vector<CoreQueue> cores_;
   std::map<int, int> affinity_;  // pid -> core it last ran (or was placed) on
@@ -185,17 +173,15 @@ class Scheduler {
   std::map<uint32_t, std::deque<int>> futex_waiters_;
   std::set<int> other_waiters_;
 
-  // vm.sched.* counter handles (null until SetMetrics; transitions then uncounted,
-  // which only standalone unit tests do).
-  MetricsRegistry* metrics_ = nullptr;
-  uint64_t scratch_ = 0;
-  uint64_t* c_switches_ = &scratch_;
-  uint64_t* c_preemptions_ = &scratch_;
-  uint64_t* c_blocks_ = &scratch_;
-  uint64_t* c_wakes_ = &scratch_;
-  uint64_t* c_futex_waits_ = &scratch_;
-  uint64_t* c_deadlocks_ = &scratch_;
-  uint64_t* c_steals_ = &scratch_;
+  // vm.sched.* counter handles.
+  MetricsRegistry& metrics_;
+  uint64_t* c_switches_;
+  uint64_t* c_preemptions_;
+  uint64_t* c_blocks_;
+  uint64_t* c_wakes_;
+  uint64_t* c_futex_waits_;
+  uint64_t* c_deadlocks_;
+  uint64_t* c_steals_;
 };
 
 }  // namespace hemlock

@@ -986,11 +986,34 @@ class CodeGen {
     }
   }
 
+  // A char lvalue holds a byte: the value of an assignment to it is the stored byte,
+  // sign-extended like an `lb` load, not the untruncated right side.
+  void EmitCharResult(const Type& type, uint8_t reg) {
+    if (type.kind == Type::K::kChar) {
+      Emit(EncodeR(Funct::kSll, reg, 0, reg, 24));
+      Emit(EncodeR(Funct::kSra, reg, 0, reg, 24));
+    }
+  }
+
+  // Generates |e| for its side effects only (an expression statement or a for-loop
+  // step), so a char assignment's value is not materialized.
+  Status GenEffect(const Expr& e) {
+    switch (e.kind) {
+      case ExprKind::kAssign:
+        return GenAssign(e, /*value_used=*/false).status();
+      case ExprKind::kPreIncDec:
+      case ExprKind::kPostIncDec:
+        return GenIncDec(e, /*value_used=*/false).status();
+      default:
+        return GenExpr(e).status();
+    }
+  }
+
   // A named scalar is assigned right side first, then addressed without touching
   // memory (FindNamedScalar). Any other lvalue is addressed first and held while the
   // right side is generated. Pointer `+=`/`-=` scale the right side before $t2 is
   // loaded with the old value, since scaling by a non-power of two uses $t2 too.
-  Result<TypeRef> GenAssign(const Expr& e) {
+  Result<TypeRef> GenAssign(const Expr& e, bool value_used = true) {
     std::optional<Place> named = FindNamedScalar(*e.lhs);
     Place place;
     TypeRef rtype;
@@ -1017,10 +1040,13 @@ class CodeGen {
                                     : EncodeR(Funct::kSub, kRegV0, kRegT2, kRegV0));
     }
     EmitStore(*place.type, kRegV0, place.base, place.offset);  // $v0 is also the result
+    if (value_used) {
+      EmitCharResult(*place.type, kRegV0);
+    }
     return place.type;
   }
 
-  Result<TypeRef> GenIncDec(const Expr& e) {
+  Result<TypeRef> GenIncDec(const Expr& e, bool value_used = true) {
     Place place;
     if (std::optional<Place> named = FindNamedScalar(*e.lhs)) {
       place = *named;
@@ -1039,6 +1065,9 @@ class CodeGen {
                                                               : -static_cast<int16_t>(delta))));
     EmitStore(type, kRegT1, place.base, place.offset);
     EmitMove(kRegV0, e.kind == ExprKind::kPreIncDec ? kRegT1 : kRegT2);
+    if (value_used && e.kind == ExprKind::kPreIncDec) {
+      EmitCharResult(type, kRegV0);  // the post form's old value came from `lb`
+    }
     return place.type;
   }
 
@@ -1111,11 +1140,8 @@ class CodeGen {
     switch (s.kind) {
       case StmtKind::kEmpty:
         return OkStatus();
-      case StmtKind::kExpr: {
-        ASSIGN_OR_RETURN(TypeRef t, GenExpr(*s.expr));
-        (void)t;
-        return OkStatus();
-      }
+      case StmtKind::kExpr:
+        return GenEffect(*s.expr);
       case StmtKind::kVarDecl: {
         RETURN_IF_ERROR(DeclareLocal(s.decl_name, s.decl_type, s.line));
         if (s.expr != nullptr) {
@@ -1195,8 +1221,7 @@ class CodeGen {
         uint32_t continue_target = b_.TextSize();
         loop_stack_[loop_index].continue_target = continue_target;
         if (s.inc != nullptr) {
-          ASSIGN_OR_RETURN(TypeRef it, GenExpr(*s.inc));
-          (void)it;
+          RETURN_IF_ERROR(GenEffect(*s.inc));
         }
         uint32_t back = EmitJumpPlaceholder();
         RETURN_IF_ERROR(PatchBranch(back, top, s.line));

@@ -46,8 +46,8 @@ static int putint(int n) {
   int neg;
   i = 12;
   neg = 0;
-  if (n < 0) { neg = 1; n = 0 - n; }
-  if (n == 0) { i = i - 1; buf[i] = '0'; }
+  if (n < 0) { neg = 1; i = i - 1; buf[i] = '0' - n % 10; n = 0 - n / 10; }
+  else if (n == 0) { i = i - 1; buf[i] = '0'; }
   while (n > 0) { i = i - 1; buf[i] = '0' + n % 10; n = n / 10; }
   if (neg) { i = i - 1; buf[i] = '-'; }
   sys_write(1, &buf[i], 12 - i);

@@ -107,7 +107,7 @@ uint8_t* AddressSpace::Resolve(uint32_t addr, uint32_t len, AccessKind access, b
   }
   TlbEntry& t = tlb_[(page >> kPageBits) & (kTlbEntries - 1)];
   if (t.page == page && t.epoch == TranslationEpoch()) {
-    ++*tlb_hits_;
+    ++tlb_counts_.hits;
     if (check_prot) {
       Prot want = access == AccessKind::kRead    ? Prot::kRead
                   : access == AccessKind::kWrite ? Prot::kWrite
@@ -124,7 +124,7 @@ uint8_t* AddressSpace::Resolve(uint32_t addr, uint32_t len, AccessKind access, b
     }
     return t.host + (addr - page);
   }
-  ++*tlb_misses_;
+  ++tlb_counts_.misses;
   return ResolveSlow(addr, page, access, check_prot, fault);
 }
 
@@ -180,7 +180,7 @@ uint8_t* AddressSpace::ResolveSlow(uint32_t addr, uint32_t page, AccessKind acce
 
 void AddressSpace::BumpMapGen() {
   ++map_gen_;  // every live TLB entry's epoch is now stale
-  ++*tlb_flushes_;
+  ++tlb_counts_.flushes;
 }
 
 void AddressSpace::NoteExecStore(uint32_t addr) const {
@@ -213,12 +213,6 @@ void AddressSpace::NoteCodePage(uint32_t pc) {
   }
   uint32_t page = pc >> kPageBits;
   text_code_bits_[page / 8] |= static_cast<uint8_t>(1u << (page % 8));
-}
-
-void AddressSpace::WireVmCounters(uint64_t* hits, uint64_t* misses, uint64_t* flushes) {
-  tlb_hits_ = hits;
-  tlb_misses_ = misses;
-  tlb_flushes_ = flushes;
 }
 
 bool AddressSpace::Load32(uint32_t addr, uint32_t* out, Fault* fault) const {
@@ -362,11 +356,8 @@ Result<std::string> AddressSpace::ReadCString(uint32_t addr, uint32_t max_len) c
 
 std::unique_ptr<AddressSpace> AddressSpace::Fork() const {
   auto child = std::make_unique<AddressSpace>(sfs_);
-  // The child shares the machine-wide vm.tlb.* counters but starts with a cold TLB
-  // and no watched private code pages (its decoded-block cache starts empty too).
-  if (tlb_hits_ != &tlb_scratch_) {
-    child->WireVmCounters(tlb_hits_, tlb_misses_, tlb_flushes_);
-  }
+  // The child starts with a cold TLB, zero vm.tlb.* counts, and no watched private
+  // code pages (its decoded-block cache starts empty too).
   // Private backings may be shared by many pages; copy each distinct buffer once.
   std::map<const std::vector<uint8_t>*, PrivateBacking> copied;
   for (const auto& [vaddr, entry] : pages_) {

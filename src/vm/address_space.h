@@ -112,8 +112,15 @@ class AddressSpace {
   uint64_t CodeEpoch() const { return map_gen_ + priv_code_epoch_ + sfs_->code_epoch(); }
   // The ExecCache decoded a block from |pc|'s page: watch that page for stores.
   void NoteCodePage(uint32_t pc);
-  // Wires the vm.tlb.* counters (Machine owns the registry; tests may skip this).
-  void WireVmCounters(uint64_t* hits, uint64_t* misses, uint64_t* flushes);
+
+  // vm.tlb.* counts since the Machine last folded them into its registry (at the
+  // end of each dispatch). The JIT adds its inline-probe hits to |hits|.
+  struct TlbCounts {
+    uint64_t hits = 0;
+    uint64_t misses = 0;
+    uint64_t flushes = 0;
+  };
+  TlbCounts& tlb_counts() const { return tlb_counts_; }
 
   // --- The JIT TLB-probe contract ---
   //
@@ -171,12 +178,7 @@ class AddressSpace {
   // One bit per private text page (256 MB region -> 8 KB) set by NoteCodePage.
   mutable std::vector<uint8_t> text_code_bits_;
 
-  // vm.tlb.* counters — scratch-backed until the Machine wires real handles in,
-  // so the hot path is an unconditional pointer bump.
-  mutable uint64_t tlb_scratch_ = 0;
-  mutable uint64_t* tlb_hits_ = &tlb_scratch_;
-  mutable uint64_t* tlb_misses_ = &tlb_scratch_;
-  mutable uint64_t* tlb_flushes_ = &tlb_scratch_;
+  mutable TlbCounts tlb_counts_;
 };
 
 }  // namespace hemlock

@@ -23,24 +23,18 @@ bool IsCti(const Instr& in) {
 }
 }  // namespace
 
-void ExecCache::WireCounters(uint64_t* hits, uint64_t* misses, uint64_t* invalidations) {
-  hits_ = hits;
-  misses_ = misses;
-  invalidations_ = invalidations;
-}
-
 const DecodedBlock* ExecCache::Lookup(uint32_t pc, AddressSpace* space) {
   uint64_t epoch = space->CodeEpoch();
   if (epoch != epoch_) {
     if (!blocks_.empty()) {
-      ++*invalidations_;
+      ++counts_.invalidations;
       blocks_.clear();
     }
     epoch_ = epoch;
   }
   auto it = blocks_.find(pc);
   if (it != blocks_.end()) {
-    ++*hits_;
+    ++counts_.hits;
     return &it->second;
   }
   // Only text and SFS pages hold code we are willing to watch for writes; a pc
@@ -70,10 +64,10 @@ const DecodedBlock* ExecCache::Lookup(uint32_t pc, AddressSpace* space) {
   if (block.code.empty()) {
     return nullptr;  // first word unfetchable or illegal: slow path raises the trap
   }
-  ++*misses_;
+  ++counts_.misses;
   if (blocks_.size() >= kMaxBlocks) {
     blocks_.clear();
-    ++*invalidations_;
+    ++counts_.invalidations;
   }
   // From now on stores into this page must retire the block.
   space->NoteCodePage(pc);

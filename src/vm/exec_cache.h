@@ -36,15 +36,20 @@ struct DecodedBlock {
 
 class ExecCache {
  public:
-  // Wires the vm.icache.* counters (scratch-backed until then, like the TLB's).
-  void WireCounters(uint64_t* hits, uint64_t* misses, uint64_t* invalidations);
-
   // Returns the block starting at |pc|, decoding it on demand. nullptr when |pc|
   // is not cacheable (unfetchable, illegal first word, or outside the text/SFS
   // regions) — the caller then retires one instruction via the reference path.
   const DecodedBlock* Lookup(uint32_t pc, AddressSpace* space);
 
   uint64_t blocks() const { return blocks_.size(); }
+
+  // vm.icache.* counts since the Machine last folded them into its registry.
+  struct Counts {
+    uint64_t hits = 0;
+    uint64_t misses = 0;
+    uint64_t invalidations = 0;
+  };
+  Counts& counts() { return counts_; }
 
  private:
   // Blow the cache when the map grows absurd (runaway jump targets); keeps worst-
@@ -53,11 +58,7 @@ class ExecCache {
 
   std::unordered_map<uint32_t, DecodedBlock> blocks_;
   uint64_t epoch_ = ~0ull;  // never matches a real CodeEpoch, so first use flushes
-
-  uint64_t scratch_ = 0;
-  uint64_t* hits_ = &scratch_;
-  uint64_t* misses_ = &scratch_;
-  uint64_t* invalidations_ = &scratch_;
+  Counts counts_;
 };
 
 }  // namespace hemlock

@@ -574,21 +574,11 @@ Jit::~Jit() {
   }
 }
 
-void Jit::WireCounters(uint64_t* compiled, uint64_t* chained, uint64_t* deopts,
-                       uint64_t* bailouts, uint64_t* arena_bytes, uint64_t* tlb_hits) {
-  compiled_ = compiled;
-  chained_ = chained;
-  deopts_ = deopts;
-  bailouts_ = bailouts;
-  arena_bytes_ = arena_bytes;
-  tlb_hits_ = tlb_hits;
-}
-
 void Jit::RetireAll() {
   if (!code_map_.empty()) {
     // Every chained block unlinks here by construction: the arena below the
     // bump pointer is dead, and nothing outside it holds a code pointer.
-    ++*deopts_;
+    ++counts_.deopts;
   }
   code_map_.clear();
   pending_links_.clear();
@@ -646,8 +636,8 @@ size_t Jit::Compile(const DecodedBlock& block) {
   size_t entry = arena_used_;
   std::memcpy(arena_ + entry, a.buf.data(), a.buf.size());
   arena_used_ += need;
-  *arena_bytes_ += a.buf.size();
-  ++*compiled_;
+  counts_.arena_bytes += a.buf.size();
+  ++counts_.compiled;
   code_map_[block.start] = entry;
 
   // Direct-link: our own slots to already-compiled successors (including this
@@ -656,7 +646,7 @@ size_t Jit::Compile(const DecodedBlock& block) {
     auto it = code_map_.find(c.target);
     if (it != code_map_.end()) {
       PatchJmp(entry + c.site, it->second);
-      ++*chained_;
+      ++counts_.chained;
     } else {
       pending_links_.emplace(c.target, entry + c.site);
     }
@@ -664,7 +654,7 @@ size_t Jit::Compile(const DecodedBlock& block) {
   auto range = pending_links_.equal_range(block.start);
   for (auto it = range.first; it != range.second; ++it) {
     PatchJmp(it->second, entry);
-    ++*chained_;
+    ++counts_.chained;
   }
   pending_links_.erase(range.first, range.second);
   return entry;
@@ -684,11 +674,11 @@ JitRun Jit::TryRun(const DecodedBlock& block, AddressSpace* space, CpuState* st,
   auto it = code_map_.find(block.start);
   if (it == code_map_.end()) {
     if (arena_full_ || ++block.hot < threshold_) {
-      ++*bailouts_;
+      ++counts_.bailouts;
       return JitRun::kNotRun;
     }
     if (Compile(block) == 0) {
-      ++*bailouts_;
+      ++counts_.bailouts;
       return JitRun::kNotRun;
     }
     it = code_map_.find(block.start);
@@ -696,7 +686,7 @@ JitRun Jit::TryRun(const DecodedBlock& block, AddressSpace* space, CpuState* st,
   if (fuel < block.code.size()) {
     // Let the interpreter cut the block at the budget edge — preemption points
     // must not depend on the tier.
-    ++*bailouts_;
+    ++counts_.bailouts;
     return JitRun::kNotRun;
   }
 
@@ -709,25 +699,25 @@ JitRun Jit::TryRun(const DecodedBlock& block, AddressSpace* space, CpuState* st,
   ctx.space = space;
   entry_thunk_(&ctx, arena_ + it->second);
   *steps_out = fuel - ctx.fuel;
-  *tlb_hits_ += ctx.tlb_hits;
+  space->tlb_counts().hits += ctx.tlb_hits;
   st->pc = ctx.exit_pc;
   switch (ctx.exit_reason) {
     case kJitExitFuel:
     case kJitExitEnd:
       return JitRun::kContinue;
     case kJitExitSmc:
-      ++*deopts_;  // re-dispatch re-checks the epoch and retires the arena
+      ++counts_.deopts;  // re-dispatch re-checks the epoch and retires the arena
       return JitRun::kContinue;
     case kJitExitSyscall:
       return JitRun::kSyscall;
     case kJitExitBreak:
       return JitRun::kBreak;
     case kJitExitFault:
-      ++*deopts_;
+      ++counts_.deopts;
       *fault_out = ctx.fault;
       return JitRun::kFault;
     case kJitExitDivZero:
-      ++*deopts_;
+      ++counts_.deopts;
       return JitRun::kDivZero;
     default:
       return JitRun::kContinue;

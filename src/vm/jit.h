@@ -104,11 +104,6 @@ class Jit {
   // Promotion threshold: a block compiles on its |threshold|-th dispatch.
   void set_threshold(uint32_t threshold) { threshold_ = threshold == 0 ? 1 : threshold; }
 
-  // Wires the vm.jit.* counters plus the shared vm.tlb.hits cell (the inline
-  // probe's hits are folded into the same row the interpreter's probe bumps).
-  void WireCounters(uint64_t* compiled, uint64_t* chained, uint64_t* deopts,
-                    uint64_t* bailouts, uint64_t* arena_bytes, uint64_t* tlb_hits);
-
   // One dispatch attempt at |block| (the caller's ExecCache already validated it
   // against the current CodeEpoch). Runs native code when the block is compiled
   // and |fuel| covers it; otherwise bumps hotness, possibly compiles for next
@@ -119,6 +114,18 @@ class Jit {
 
   uint64_t compiled_blocks() const { return code_map_.size(); }
   bool arena_full() const { return arena_full_; }
+
+  // vm.jit.* counts since the Machine last folded them into its registry. The
+  // inline probe's TLB hits go to the AddressSpace's own count instead, so they
+  // land in the same vm.tlb.hits row the interpreter's probe bumps.
+  struct Counts {
+    uint64_t compiled = 0;
+    uint64_t chained = 0;
+    uint64_t deopts = 0;
+    uint64_t bailouts = 0;
+    uint64_t arena_bytes = 0;
+  };
+  Counts& counts() { return counts_; }
 
  private:
   // Compiles |block| into the arena; returns the entry offset or 0 on failure
@@ -143,13 +150,7 @@ class Jit {
   std::unordered_map<uint32_t, size_t> code_map_;     // guest pc -> entry offset
   std::multimap<uint32_t, size_t> pending_links_;     // guest pc -> waiting jmp site
 
-  uint64_t scratch_ = 0;
-  uint64_t* compiled_ = &scratch_;
-  uint64_t* chained_ = &scratch_;
-  uint64_t* deopts_ = &scratch_;
-  uint64_t* bailouts_ = &scratch_;
-  uint64_t* arena_bytes_ = &scratch_;
-  uint64_t* tlb_hits_ = &scratch_;
+  Counts counts_;
 };
 
 }  // namespace hemlock

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <thread>
 
 #include "src/base/faults.h"
@@ -31,6 +32,32 @@ class RaceObserver : public CpuObserver {
   int pid_;
 };
 
+// Where a process keeps the count behind each vm.tlb.*/vm.icache.*/vm.jit.* row.
+// The TLB, block cache, and JIT bump their counts from the guest loop — outside
+// the kernel lock under SMP — so they cannot share the registry's cells;
+// FlushVmCounters folds them into the rows at the end of every dispatch.
+struct VmCountRow {
+  const char* name;
+  uint64_t* (*cell)(Process& proc);  // null when the process has no JIT
+};
+constexpr VmCountRow kVmCountRows[] = {
+    {"vm.tlb.hits", [](Process& p) { return &p.space().tlb_counts().hits; }},
+    {"vm.tlb.misses", [](Process& p) { return &p.space().tlb_counts().misses; }},
+    {"vm.tlb.flushes", [](Process& p) { return &p.space().tlb_counts().flushes; }},
+    {"vm.icache.hits", [](Process& p) { return &p.exec_cache().counts().hits; }},
+    {"vm.icache.misses", [](Process& p) { return &p.exec_cache().counts().misses; }},
+    {"vm.icache.invalidations",
+     [](Process& p) { return &p.exec_cache().counts().invalidations; }},
+    {"vm.jit.compiled_blocks",
+     [](Process& p) { return p.jit() ? &p.jit()->counts().compiled : nullptr; }},
+    {"vm.jit.chained", [](Process& p) { return p.jit() ? &p.jit()->counts().chained : nullptr; }},
+    {"vm.jit.deopts", [](Process& p) { return p.jit() ? &p.jit()->counts().deopts : nullptr; }},
+    {"vm.jit.bailouts",
+     [](Process& p) { return p.jit() ? &p.jit()->counts().bailouts : nullptr; }},
+    {"vm.jit.arena_bytes",
+     [](Process& p) { return p.jit() ? &p.jit()->counts().arena_bytes : nullptr; }},
+};
+
 }  // namespace
 
 Process::Process(int pid, int parent, SharedFs* sfs)
@@ -54,23 +81,15 @@ void Process::ChainFaultHandler(FaultHandler handler) {
   fault_handlers_.push_back(std::move(handler));
 }
 
-Machine::Machine() : vfs_(std::make_unique<Vfs>()) {
+Machine::Machine() : vfs_(std::make_unique<Vfs>()), scheduler_(metrics_) {
   m_faults_delivered_ = metrics_.Counter("vm.faults_delivered");
   m_faults_resolved_ = metrics_.Counter("vm.faults_resolved");
   m_faults_fatal_ = metrics_.Counter("vm.faults_fatal");
   m_syscalls_ = metrics_.Counter("vm.syscalls");
-  m_tlb_hits_ = metrics_.Counter("vm.tlb.hits");
-  m_tlb_misses_ = metrics_.Counter("vm.tlb.misses");
-  m_tlb_flushes_ = metrics_.Counter("vm.tlb.flushes");
-  m_icache_hits_ = metrics_.Counter("vm.icache.hits");
-  m_icache_misses_ = metrics_.Counter("vm.icache.misses");
-  m_icache_invalidations_ = metrics_.Counter("vm.icache.invalidations");
-  m_jit_compiled_ = metrics_.Counter("vm.jit.compiled_blocks");
-  m_jit_chained_ = metrics_.Counter("vm.jit.chained");
-  m_jit_deopts_ = metrics_.Counter("vm.jit.deopts");
-  m_jit_bailouts_ = metrics_.Counter("vm.jit.bailouts");
-  m_jit_arena_bytes_ = metrics_.Counter("vm.jit.arena_bytes");
   m_shootdowns_ = metrics_.Counter("vm.sched.shootdowns");
+  for (const VmCountRow& row : kVmCountRows) {
+    vm_rows_.push_back(metrics_.Counter(row.name));
+  }
   // Escape hatches for the differential CI job: run existing test binaries against
   // the reference interpreter (or with the JIT tier off) without recompiling them.
   const char* slow_env = std::getenv("HEMLOCK_SLOW_INTERP");
@@ -79,7 +98,6 @@ Machine::Machine() : vfs_(std::make_unique<Vfs>()) {
   if (jit_env != nullptr && (jit_env[0] == '\0' || jit_env[0] == '0')) {
     jit_enabled_ = false;
   }
-  scheduler_.SetMetrics(&metrics_);
   WireSfs();
   // The newest machine claims the process-global fault registry's observability:
   // injected faults show up in this machine's metrics, and delay faults advance
@@ -128,8 +146,7 @@ SharedFs::ShootdownGuard Machine::BeginShootdown() {
 }
 
 void Machine::EnableRaceDetector(RaceOptions options) {
-  race_ = std::make_unique<RaceDetector>(options);
-  race_->SetMetrics(&metrics_);
+  race_ = std::make_unique<RaceDetector>(metrics_, options);
   race_->SetAddrResolver([this](uint32_t addr) {
     Result<std::string> rel = sfs().AddrToPath(addr);
     return rel.ok() ? std::string(kSfsMount) + *rel : std::string("?");
@@ -146,26 +163,17 @@ void Machine::ReplaceSfs(std::unique_ptr<SharedFs> sfs) {
   WireSfs();
 }
 
-void Machine::WireProcessVm(Process& proc) {
-  // TLB, block-cache, and JIT counters go to the process's private cells (bumped
-  // from the guest loop, outside the kernel lock under SMP); FlushVmCounters
-  // folds them into the vm.* registry rows at each dispatch end.
-  proc.space_->WireVmCounters(&proc.vm_cells_[0], &proc.vm_cells_[1], &proc.vm_cells_[2]);
-  proc.exec_cache_.WireCounters(&proc.vm_cells_[3], &proc.vm_cells_[4], &proc.vm_cells_[5]);
+void Machine::AttachJit(Process& proc) {
   if (jit_enabled_ && Jit::HostSupported()) {
     proc.jit_ = std::make_unique<Jit>();
     proc.jit_->set_threshold(jit_threshold_);
-    // The last tap is the shared vm.tlb.hits cell: the inline probe's hits land
-    // in the same row the interpreter's probe bumps.
-    proc.jit_->WireCounters(&proc.vm_cells_[6], &proc.vm_cells_[7], &proc.vm_cells_[8],
-                            &proc.vm_cells_[9], &proc.vm_cells_[10], &proc.vm_cells_[0]);
   }
 }
 
 Process& Machine::CreateProcess() {
   int pid = next_pid_++;
   auto proc = std::make_unique<Process>(pid, /*parent=*/0, &sfs());
-  WireProcessVm(*proc);
+  AttachJit(*proc);
   Process& ref = *proc;
   procs_[pid] = std::move(proc);
   scheduler_.Enqueue(pid, ref.priority_);
@@ -205,13 +213,11 @@ void Machine::ChargeTicks(Process& proc, uint64_t n) {
 }
 
 void Machine::FlushVmCounters(Process& proc) {
-  uint64_t* dst[11] = {m_tlb_hits_,    m_tlb_misses_,    m_tlb_flushes_,
-                       m_icache_hits_, m_icache_misses_, m_icache_invalidations_,
-                       m_jit_compiled_, m_jit_chained_,  m_jit_deopts_,
-                       m_jit_bailouts_, m_jit_arena_bytes_};
-  for (int i = 0; i < 11; ++i) {
-    *dst[i] += proc.vm_cells_[i];
-    proc.vm_cells_[i] = 0;
+  for (size_t i = 0; i < std::size(kVmCountRows); ++i) {
+    if (uint64_t* cell = kVmCountRows[i].cell(proc)) {
+      *vm_rows_[i] += *cell;
+      *cell = 0;
+    }
   }
 }
 
@@ -859,11 +865,10 @@ void Machine::DoSyscall(Process& proc) {
     case Sys::kFork: {
       int child_pid = next_pid_++;
       auto child = std::make_unique<Process>(child_pid, proc.pid(), &sfs());
-      // Fork copies the parent's counter wiring, which points at the *parent's*
-      // private cells — re-aim every tap at the child's own. The child also gets
-      // a fresh (empty) code arena; translations are per-process like the TLB.
+      // The child gets a fresh (empty) code arena; translations are per-process
+      // like the TLB.
       child->space_ = proc.space().Fork();
-      WireProcessVm(*child);
+      AttachJit(*child);
       child->cpu_ = proc.cpu();
       child->brk_ = proc.brk_;
       child->env_ = proc.env_;

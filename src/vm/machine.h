@@ -155,12 +155,6 @@ class Process {
   // Ticks charged during the current DriveProcess dispatch (steps + syscall and
   // fault costs); the scheduler loops read it after each quantum.
   uint64_t charged_ = 0;
-  // Private cells behind this process's vm.tlb.* / vm.icache.* / vm.jit.*
-  // counters. The TLB, block cache, and JIT bump these from the guest loop —
-  // outside the kernel lock under SMP — so they cannot share the machine-wide
-  // registry cells; each quantum's totals are folded into the registry at
-  // dispatch end (FlushVmCounters).
-  uint64_t vm_cells_[11] = {};
   ExecCache exec_cache_;
   // The process's code arena + translations (per-process, like the block cache);
   // null when the tier is disabled or the host cannot run generated code.
@@ -318,11 +312,11 @@ class Machine {
   SharedFs::ShootdownGuard BeginShootdown();
   // Advances the simulated clock and bills the current dispatch.
   void ChargeTicks(Process& proc, uint64_t n);
-  // Folds |proc|'s private vm.tlb.*/vm.icache.*/vm.jit.* cells into the registry.
+  // Folds |proc|'s vm.tlb.*/vm.icache.*/vm.jit.* counts into the registry and
+  // zeroes them.
   void FlushVmCounters(Process& proc);
-  // Aims |proc|'s TLB/block-cache/JIT counter taps at its private cells and
-  // builds its JIT when the tier is on (CreateProcess and fork share this).
-  void WireProcessVm(Process& proc);
+  // Builds |proc|'s JIT when the tier is on (CreateProcess and fork share this).
+  void AttachJit(Process& proc);
   // Logs + traces a deadlock (ready queues empty, live waiters remain).
   SchedStatus ReportDeadlock();
 
@@ -351,19 +345,10 @@ class Machine {
   uint64_t* m_faults_resolved_ = nullptr;
   uint64_t* m_faults_fatal_ = nullptr;
   uint64_t* m_syscalls_ = nullptr;
-  // Fast-path counters, shared by every process's TLB and block cache.
-  uint64_t* m_tlb_hits_ = nullptr;
-  uint64_t* m_tlb_misses_ = nullptr;
-  uint64_t* m_tlb_flushes_ = nullptr;
-  uint64_t* m_icache_hits_ = nullptr;
-  uint64_t* m_icache_misses_ = nullptr;
-  uint64_t* m_icache_invalidations_ = nullptr;
-  uint64_t* m_jit_compiled_ = nullptr;
-  uint64_t* m_jit_chained_ = nullptr;
-  uint64_t* m_jit_deopts_ = nullptr;
-  uint64_t* m_jit_bailouts_ = nullptr;
-  uint64_t* m_jit_arena_bytes_ = nullptr;
   uint64_t* m_shootdowns_ = nullptr;
+  // The registry rows FlushVmCounters folds process counts into, in the order of
+  // machine.cc's kVmCountRows table.
+  std::vector<uint64_t*> vm_rows_;
   std::map<int, std::unique_ptr<Process>> procs_;
   int next_pid_ = 1;
   uint64_t ticks_ = 0;

@@ -97,6 +97,67 @@ class BenchCompareTest(unittest.TestCase):
         self.assertEqual(p.returncode, 0, p.stderr)
         self.assertIn("not gated", p.stdout)
 
+    # --- baseline compare: speedup rows gate on their median over repetitions ---
+
+    def interp_json(self, interp_runs, jit_runs, jit_compiled=2):
+        """A bench_interp export: one counter row plus both speedup families,
+        each repetition row followed by the library's aggregate rows."""
+        rows = [{"name": "BM_TightArith", "run_name": "BM_TightArith",
+                 "run_type": "iteration", "tlb_hits": 100.0, "jit_compiled": 2.0}]
+        for name, runs, compiled in (("BM_InterpSpeedup", interp_runs, 0),
+                                     ("BM_JitSpeedup", jit_runs, jit_compiled)):
+            run_name = f"{name}/repeats:{len(runs)}"
+            for speedup in runs:
+                rows.append({"name": run_name, "run_name": run_name,
+                             "run_type": "iteration", "speedup": speedup,
+                             "jit_compiled": compiled})
+            ordered = sorted(runs)
+            for aggregate, value, jit in (
+                    ("median", ordered[len(ordered) // 2], compiled),
+                    ("cv", 0.05, float("nan"))):  # cv of an all-zero counter
+                rows.append({"name": f"{run_name}_{aggregate}", "run_name": run_name,
+                             "run_type": "aggregate", "aggregate_name": aggregate,
+                             "speedup": value, "jit_compiled": jit})
+        return {"benchmarks": rows}
+
+    def compare(self, current):
+        baseline = self.write("base.json", self.interp_json(
+            [3.3, 3.3, 3.3], [20.0, 20.0, 20.0]))
+        return run(baseline, self.write("cur.json", current))
+
+    def test_one_slow_repetition_does_not_fail_the_median(self):
+        p = self.compare(self.interp_json([2.8, 3.4, 3.5], [22.0, 21.0, 5.0]))
+        self.assertEqual(p.returncode, 0, p.stderr)
+        self.assertIn("current=3.40x (median of 3, spread 2.80x-3.50x)", p.stdout)
+        self.assertIn("current=21.00x (median of 3, spread 5.00x-22.00x)", p.stdout)
+
+    def test_median_below_the_floor_fails(self):
+        p = self.compare(self.interp_json([2.9, 2.95, 3.6], [20.0, 20.0, 20.0]))
+        self.assertEqual(p.returncode, 1, p.stderr)
+        self.assertIn("BM_InterpSpeedup speedup 2.95x below floor 3.00x", p.stderr)
+
+    def test_median_below_the_baseline_tolerance_fails(self):
+        p = self.compare(self.interp_json([3.3, 3.3, 3.3], [15.0, 15.5, 30.0]))
+        self.assertEqual(p.returncode, 1, p.stderr)
+        self.assertIn("BM_JitSpeedup speedup 15.50x below floor 16.00x", p.stderr)
+
+    def test_run_without_repetitions_fails_clearly(self):
+        current = {"benchmarks": [
+            {"name": "BM_TightArith", "run_type": "iteration", "tlb_hits": 100.0,
+             "jit_compiled": 2.0},
+            {"name": "BM_InterpSpeedup", "run_type": "iteration", "speedup": 3.5},
+            {"name": "BM_JitSpeedup", "run_type": "iteration", "speedup": 25.0,
+             "jit_compiled": 2}]}
+        p = self.compare(current)
+        self.assertEqual(p.returncode, 1, p.stderr)
+        self.assertIn("median aggregate missing", p.stderr)
+
+    def test_jit_gate_skips_a_host_without_compiled_blocks(self):
+        p = self.compare(self.interp_json([3.3, 3.3, 3.3], [2.0, 2.0, 2.0],
+                                          jit_compiled=0))
+        self.assertIn("skip BM_JitSpeedup.speedup", p.stdout)
+        self.assertNotIn("BM_JitSpeedup speedup", p.stderr)
+
     # --- --manifest-warm gate ---
 
     def manifest_json(self, **row):

@@ -6,7 +6,8 @@
 //
 // Operands cover every way the code generator holds a left value: leaves (literals
 // across the int32 range, int and char globals and locals), call-free subtrees, and
-// subtrees that make a call. Compound assignments to scalars and array elements run
+// subtrees that make a call. Compound assignments to scalars and array elements, and
+// plain and compound assignments to chars (whose value is the truncated byte), run
 // inside the expressions, so side effects are checked too.
 #include <gtest/gtest.h>
 
@@ -120,23 +121,38 @@ struct ExprGen {
         auto [a, av] = Gen(depth - 1);
         return {"sub2(" + a + ", " + b + ")", Wrap(static_cast<int64_t>(av) - bv)};
       }
-      default: {  // compound assignment to a scalar or an array element
+      default: {  // compound assignment to an int scalar or an array element, or
+                  // any assignment to a char, whose value is the truncated byte
         bool plus = form == 18;
         std::string target;
         Var* v = nullptr;
-        if (Next() % 2 == 0) {
-          v = &IntScalar();
-          target = v->name;
-        } else {
-          auto [name, element] = Element();  // the address is taken before the right side
-          target = name;
-          v = element;
+        switch (Next() % 3) {
+          case 0:
+            v = &IntScalar();
+            target = v->name;
+            break;
+          case 1: {
+            auto [name, element] = Element();  // the address is taken before the right side
+            target = name;
+            v = element;
+            break;
+          }
+          default:
+            v = &vars[4 + Next() % 2];  // c0 or d0
+            target = v->name;
+            break;
         }
+        bool is_char = v->name[0] == 'c' || v->name[0] == 'd';
+        bool plain = is_char && Next() % 3 == 0;
         size_t slot = static_cast<size_t>(v - vars.data());
         auto [rhs, rv] = Gen(depth - 1);
         Var& t = vars[slot];
-        t.value = Wrap(plus ? static_cast<int64_t>(t.value) + rv : static_cast<int64_t>(t.value) - rv);
-        return {"(" + target + (plus ? " += " : " -= ") + rhs + ")", t.value};
+        int32_t value = plain ? rv
+                        : Wrap(plus ? static_cast<int64_t>(t.value) + rv
+                                    : static_cast<int64_t>(t.value) - rv);
+        t.value = is_char ? static_cast<int8_t>(value) : value;
+        const char* op = plain ? " = " : plus ? " += " : " -= ";
+        return {"(" + target + op + rhs + ")", t.value};
       }
     }
   }
@@ -200,11 +216,11 @@ TEST_P(ExprFuzzTest, CompiledMatchesHostSemantics) {
   for (int e = 0; e < 8; ++e) {
     auto [src, value] = gen.Gen(4);
     program += StrFormat("  putint(%s);\n  puts(\"\\n\");\n", src.c_str());
-    expected += PutIntText(value) + "\n";
+    expected += std::to_string(value) + "\n";
   }
   for (const Var& var : gen.vars) {  // every side effect landed where it should
     program += StrFormat("  putint(%s);\n  puts(\"\\n\");\n", var.name.c_str());
-    expected += PutIntText(var.value) + "\n";
+    expected += std::to_string(var.value) + "\n";
   }
   program += "  return 0;\n}\n";
 

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "src/base/layout.h"
+#include "src/base/strings.h"
 #include "src/isa/isa.h"
 #include "src/kernel/race.h"
 #include "src/kernel/scheduler.h"
@@ -33,9 +34,7 @@ class TlbTest : public ::testing::Test {
  protected:
   SharedFs sfs_;
   AddressSpace space_{&sfs_};
-  uint64_t hits_ = 0, misses_ = 0, flushes_ = 0;
-
-  void SetUp() override { space_.WireVmCounters(&hits_, &misses_, &flushes_); }
+  const AddressSpace::TlbCounts& counts_ = space_.tlb_counts();
 
   PrivateBacking MakeBacking(uint32_t pages, uint8_t fill = 0) {
     return std::make_shared<std::vector<uint8_t>>(pages * kPageSize, fill);
@@ -47,13 +46,13 @@ TEST_F(TlbTest, HitsAfterMissAndCounts) {
   Fault fault;
   uint32_t v = 0;
   ASSERT_TRUE(space_.Load32(0x1000, &v, &fault));  // cold: miss + fill
-  EXPECT_EQ(misses_, 1u);
-  uint64_t before_hits = hits_;
+  EXPECT_EQ(counts_.misses, 1u);
+  uint64_t before_hits = counts_.hits;
   for (int i = 0; i < 8; ++i) {
     ASSERT_TRUE(space_.Load32(0x1000 + 4 * i, &v, &fault));
   }
-  EXPECT_EQ(hits_, before_hits + 8);  // same page: all hits
-  EXPECT_EQ(misses_, 1u);
+  EXPECT_EQ(counts_.hits, before_hits + 8);  // same page: all hits
+  EXPECT_EQ(counts_.misses, 1u);
 }
 
 TEST_F(TlbTest, UnmapInvalidatesCachedTranslation) {
@@ -61,9 +60,9 @@ TEST_F(TlbTest, UnmapInvalidatesCachedTranslation) {
   Fault fault;
   uint32_t v = 0;
   ASSERT_TRUE(space_.Load32(0x1000, &v, &fault));  // fill the TLB line
-  uint64_t flushes_before = flushes_;
+  uint64_t flushes_before = counts_.flushes;
   ASSERT_TRUE(space_.Unmap(0x1000, kPageSize).ok());
-  EXPECT_GT(flushes_, flushes_before);
+  EXPECT_GT(counts_.flushes, flushes_before);
   // The regression this pins: a stale TLB entry would happily return the old
   // host pointer here instead of faulting.
   EXPECT_FALSE(space_.Load32(0x1000, &v, &fault));
@@ -129,9 +128,7 @@ class ExecCacheTest : public ::testing::Test {
   SharedFs sfs_;
   AddressSpace space_{&sfs_};
   ExecCache cache_;
-  uint64_t hits_ = 0, misses_ = 0, invals_ = 0;
-
-  void SetUp() override { cache_.WireCounters(&hits_, &misses_, &invals_); }
+  const ExecCache::Counts& counts_ = cache_.counts();
 
   // Writes |words| at vaddr 0 in a fresh kAll private page and returns a Cpu wired
   // to the cache.
@@ -160,11 +157,11 @@ TEST_F(ExecCacheTest, DecodesABlockOnceThenHits) {
   EXPECT_EQ(st.regs[kRegT0], 5u);
   EXPECT_EQ(st.regs[kRegT1], 7u);
   EXPECT_EQ(steps, 3u);   // break counts, like the reference loop
-  EXPECT_EQ(misses_, 1u);  // one block: [addi, addi, break]
+  EXPECT_EQ(counts_.misses, 1u);  // one block: [addi, addi, break]
   CpuState st2;
   EXPECT_EQ(cpu.Run(&st2, 100, &steps, &fault), StopReason::kBreak);
-  EXPECT_EQ(misses_, 1u);
-  EXPECT_GE(hits_, 1u);
+  EXPECT_EQ(counts_.misses, 1u);
+  EXPECT_GE(counts_.hits, 1u);
 }
 
 TEST_F(ExecCacheTest, SelfModifyingStoreInvalidatesTheBlock) {
@@ -190,7 +187,7 @@ TEST_F(ExecCacheTest, SelfModifyingStoreInvalidatesTheBlock) {
   CpuState st2;
   ASSERT_EQ(cpu.Run(&st2, 100, &steps, &fault), StopReason::kBreak);
   EXPECT_EQ(st2.regs[kRegT0], 9u) << "stale decoded block executed after the store";
-  EXPECT_GE(invals_, 1u);
+  EXPECT_GE(counts_.invalidations, 1u);
 }
 
 TEST_F(ExecCacheTest, SameBlockSelfModificationMatchesTheReferenceLoop) {
@@ -326,6 +323,42 @@ constexpr char kBumpProg[] = R"(
   extern int bump(void);
   int main(void) { putint(bump()); puts("\n"); return 0; }
 )";
+
+// The TLB and block cache count per process, and the Machine folds a process's
+// counts into its registry at the end of each dispatch. A forked child starts with
+// zero counts of its own; they must reach the registry too, so doubling the
+// child's loop adds at least one TLB hit and one block-cache hit per extra turn.
+TEST(FastPathEndToEnd, ForkedChildCountsReachTheMachineRegistry) {
+  auto run_with_child_loop = [](int turns) -> MetricsSnapshot {
+    HemlockWorld world;
+    world.machine().set_slow_interp(false);  // pin: CI sets HEMLOCK_SLOW_INTERP
+    world.machine().set_jit_enabled(false);  // every block dispatch is a cache lookup
+    Result<RunOutcome> out = world.RunProgram(StrFormat(R"(
+      int table[16];
+      int main(void) {
+        int pid;
+        int i;
+        int acc;
+        pid = sys_fork();
+        if (pid == 0) {
+          acc = 0;
+          for (i = 0; i < %d; i += 1) { acc = acc + table[i & 15]; }
+          sys_exit(acc);
+        }
+        sys_waitpid(pid);
+        return 0;
+      })", turns));
+    EXPECT_TRUE(out.ok()) << out.status().ToString();
+    EXPECT_EQ(out.ok() ? out->exit_code : -1, 0);
+    return out.ok() ? out->metrics : MetricsSnapshot{};
+  };
+  constexpr int kTurns = 1000;
+  MetricsSnapshot once = run_with_child_loop(kTurns);
+  MetricsSnapshot twice = run_with_child_loop(2 * kTurns);
+  for (const char* row : {"vm.tlb.hits", "vm.icache.hits"}) {
+    EXPECT_GE(MetricValue(twice, row), MetricValue(once, row) + kTurns) << row;
+  }
+}
 
 // ldl's creation-pending rebuild rewrites a public module's segment through
 // SharedFs::WriteAt — under the feet of any process that cached decoded blocks

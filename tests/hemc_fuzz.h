@@ -50,12 +50,6 @@ inline std::pair<std::string, int32_t> FuzzLiteral(FuzzRng& rng) {
   return {Spell(value), value};
 }
 
-// What the prelude's putint prints for |value|. It negates negatives before printing
-// digits, so INT32_MIN (whose negation wraps to itself) prints as a bare "-".
-inline std::string PutIntText(int32_t value) {
-  return value == INT32_MIN ? "-" : std::to_string(value);
-}
-
 }  // namespace hemlock
 
 #endif  // TESTS_HEMC_FUZZ_H_

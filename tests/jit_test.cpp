@@ -34,16 +34,13 @@ class JitCpuTest : public ::testing::Test {
   AddressSpace space_{&sfs_};
   ExecCache cache_;
   Jit jit_;
-  uint64_t compiled_ = 0, chained_ = 0, deopts_ = 0, bailouts_ = 0;
-  uint64_t arena_bytes_ = 0, tlb_hits_ = 0;
+  const Jit::Counts& counts_ = jit_.counts();
 
   void SetUp() override {
     if (!Jit::HostSupported()) {
       GTEST_SKIP() << "no template backend for this host architecture";
     }
     jit_.set_threshold(1);  // compile on first dispatch: every test exercises it
-    jit_.WireCounters(&compiled_, &chained_, &deopts_, &bailouts_, &arena_bytes_,
-                      &tlb_hits_);
   }
 
   // Writes |words| at vaddr 0 in a fresh kAll private page (code and data
@@ -111,10 +108,10 @@ TEST_F(JitCpuTest, CompilesChainsAndMatchesReferenceOnAHotLoop) {
   EXPECT_EQ(steps, ref.steps) << "retired-instruction accounting diverged";
 
   // The loop head compiled and chained back to itself (and onward to break).
-  EXPECT_GE(compiled_, 2u);
-  EXPECT_GE(chained_, 1u);
-  EXPECT_GT(arena_bytes_, 0u);
-  EXPECT_EQ(deopts_, 0u);
+  EXPECT_GE(counts_.compiled, 2u);
+  EXPECT_GE(counts_.chained, 1u);
+  EXPECT_GT(counts_.arena_bytes, 0u);
+  EXPECT_EQ(counts_.deopts, 0u);
 }
 
 TEST_F(JitCpuTest, QuantumEdgeStillCutsAtTheExactInstruction) {
@@ -157,7 +154,7 @@ TEST_F(JitCpuTest, FaultingLoadLeavesPcAtTheInstruction) {
   EXPECT_EQ(steps, 1u);  // the faulting lw is not counted (fuel refunded)
   EXPECT_EQ(st.pc, 4u);  // pc at the faulting lw, ready for retry
   EXPECT_EQ(fault.addr, 0x7FF0u);
-  EXPECT_GE(compiled_, 1u) << "the block never reached native code";
+  EXPECT_GE(counts_.compiled, 1u) << "the block never reached native code";
 
   RefRun ref = RunReference(words);
   EXPECT_EQ(ref.stop, StopReason::kFault);
@@ -188,7 +185,7 @@ TEST_F(JitCpuTest, DivByZeroTrapsLikeTheReferenceLoop) {
   EXPECT_EQ(steps, ref.steps);
   EXPECT_EQ(st.regs, ref.st.regs);
   EXPECT_EQ(stop, StopReason::kDivZero);
-  EXPECT_GE(compiled_, 1u);
+  EXPECT_GE(counts_.compiled, 1u);
 }
 
 TEST_F(JitCpuTest, InBlockSelfModificationDeoptsAndMatchesReference) {
@@ -215,8 +212,8 @@ TEST_F(JitCpuTest, InBlockSelfModificationDeoptsAndMatchesReference) {
   EXPECT_EQ(steps, 5u);
   EXPECT_EQ(st.regs[kRegT4], 22u) << "stale compiled block executed after the store";
   EXPECT_EQ(st.regs[kRegT3], 11u);
-  EXPECT_GE(compiled_, 1u);
-  EXPECT_GE(deopts_, 1u) << "the SMC exit never retired the compiled block";
+  EXPECT_GE(counts_.compiled, 1u);
+  EXPECT_GE(counts_.deopts, 1u) << "the SMC exit never retired the compiled block";
 }
 
 TEST_F(JitCpuTest, ArenaExhaustionFallsBackToTheBlockCache) {
@@ -225,8 +222,6 @@ TEST_F(JitCpuTest, ArenaExhaustionFallsBackToTheBlockCache) {
   // later dispatch stays on the interpreter tier.
   Jit tiny(/*arena_bytes=*/kPageSize);
   tiny.set_threshold(1);
-  uint64_t c = 0, ch = 0, d = 0, b = 0, ab = 0, th = 0;
-  tiny.WireCounters(&c, &ch, &d, &b, &ab, &th);
   std::vector<uint32_t> words;
   for (int i = 0; i < 256; ++i) {  // 256 TLB-probing loads ≫ one page of host code
     words.push_back(EncodeI(Op::kLw, kRegT0, kRegZero, 0x800));
@@ -244,7 +239,7 @@ TEST_F(JitCpuTest, ArenaExhaustionFallsBackToTheBlockCache) {
   EXPECT_EQ(st.regs[kRegT1], 7u);
   EXPECT_EQ(tiny.compiled_blocks(), 0u);
   EXPECT_TRUE(tiny.arena_full());
-  EXPECT_GE(b, 1u);
+  EXPECT_GE(tiny.counts().bailouts, 1u);
   // And the run still re-dispatches safely: a second pass is pure bailouts.
   CpuState st2;
   EXPECT_EQ(cpu.Run(&st2, 1000, &steps, &fault), StopReason::kBreak);
@@ -289,6 +284,38 @@ TEST(JitEndToEnd, ByteIdenticalToTheReferenceInterpreter) {
     EXPECT_GT(MetricValue(jit->metrics, "vm.jit.arena_bytes"), 0u);
   }
   EXPECT_EQ(MetricValue(slow->metrics, "vm.jit.compiled_blocks"), 0u);
+}
+
+// The inline probe's TLB hits are added to the AddressSpace's own count, which
+// the Machine folds into vm.tlb.hits: a run whose loop loads stay in compiled code
+// reports the same hits as the block-cache engine.
+TEST(JitEndToEnd, InlineProbeHitsReachTheMachineRegistry) {
+  if (!Jit::HostSupported()) {
+    GTEST_SKIP() << "no template backend for this host architecture";
+  }
+  constexpr char kLoadLoopProg[] = R"(
+    int table[16];
+    int main(void) {
+      int i;
+      int acc;
+      acc = 0;
+      for (i = 0; i < 3000; i += 1) { acc = acc + table[i & 15] + i; }
+      return acc & 63;
+    })";
+  auto run = [&](bool jit) -> MetricsSnapshot {
+    HemlockWorld world;
+    world.machine().set_slow_interp(false);  // pin: CI sets HEMLOCK_SLOW_INTERP
+    world.machine().set_jit_enabled(jit);    // pin: CI sets HEMLOCK_JIT=0
+    world.machine().set_jit_threshold(1);
+    Result<RunOutcome> out = world.RunProgram(kLoadLoopProg);
+    EXPECT_TRUE(out.ok()) << out.status().ToString();
+    return out.ok() ? out->metrics : MetricsSnapshot{};
+  };
+  MetricsSnapshot jit = run(true);
+  MetricsSnapshot cache = run(false);
+  EXPECT_GT(MetricValue(jit, "vm.jit.compiled_blocks"), 0u);
+  EXPECT_GT(MetricValue(jit, "vm.tlb.hits"), 3000u);
+  EXPECT_EQ(MetricValue(jit, "vm.tlb.hits"), MetricValue(cache, "vm.tlb.hits"));
 }
 
 TEST(JitEndToEnd, RaceDetectorKeepsTheJitOff) {

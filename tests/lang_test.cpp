@@ -469,7 +469,43 @@ INSTANTIATE_TEST_SUITE_P(
             puts("\n");
             return 0;
           })",
-                 "64 -900 4498\n"}),
+                 "64 -900 4498\n"},
+        // INT32_MIN's negation wraps to itself, so putint peels its last digit off
+        // before negating.
+        ExecCase{"putint_prints_every_int", R"(
+          int main(void) {
+            putint(0x80000000); puts(" ");
+            putint(0x80000001); puts(" ");
+            putint(0 - 10); puts(" ");
+            putint(0 - 7); puts(" ");
+            putint(0); puts(" ");
+            putint(0x7FFFFFFF); puts("\n");
+            return 0;
+          })",
+                 "-2147483648 -2147483647 -10 -7 0 2147483647\n"},
+        // The value of an assignment to a char is the stored byte, sign-extended.
+        ExecCase{"char_assignment_value_is_truncated", R"(
+          char g;
+          char s[2];
+          int main(void) {
+            char c;
+            char d;
+            int x;
+            putint(c = 300); puts(" ");
+            d = 127;
+            putint(++d); puts(" ");
+            putint(--d); puts(" ");
+            putint(d--); puts(" ");
+            putint(d += 200); puts(" ");
+            putint(d -= 0x100); puts(" ");
+            x = (g = 0x1FF);
+            putint(x); puts(" ");
+            putint(s[1] = 0x80); puts(" ");
+            putint(s[1]++); puts(" ");
+            putint(++s[1]); puts("\n");
+            return 0;
+          })",
+                 "44 -128 127 127 70 70 -1 -128 -128 -126\n"}),
     [](const ::testing::TestParamInfo<ExecCase>& info) { return info.param.name; });
 
 TEST(CodegenErrorTest, DiagnosticsFromCodegen) {

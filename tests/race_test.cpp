@@ -23,7 +23,8 @@ constexpr uint32_t kLockWord = 0x30000080;
 // --- RaceDetector unit tests ---
 
 TEST(RaceDetector, UnorderedWritesAreReported) {
-  RaceDetector race;
+  MetricsRegistry metrics;
+  RaceDetector race(metrics);
   race.OnProcessStart(1, -1);
   race.OnProcessStart(2, -1);
   race.OnAccess(1, kWord, 4, /*is_write=*/true, /*pc=*/0x100);
@@ -40,7 +41,8 @@ TEST(RaceDetector, UnorderedWritesAreReported) {
 }
 
 TEST(RaceDetector, WriteThenUnorderedReadIsReported) {
-  RaceDetector race;
+  MetricsRegistry metrics;
+  RaceDetector race(metrics);
   race.OnProcessStart(1, -1);
   race.OnProcessStart(2, -1);
   race.OnAccess(1, kWord, 4, true, 0x100);
@@ -51,7 +53,8 @@ TEST(RaceDetector, WriteThenUnorderedReadIsReported) {
 }
 
 TEST(RaceDetector, ConcurrentReadsAreNotRaces) {
-  RaceDetector race;
+  MetricsRegistry metrics;
+  RaceDetector race(metrics);
   race.OnProcessStart(1, -1);
   race.OnProcessStart(2, -1);
   race.OnAccess(1, kWord, 4, false, 0x100);
@@ -60,7 +63,8 @@ TEST(RaceDetector, ConcurrentReadsAreNotRaces) {
 }
 
 TEST(RaceDetector, ReleaseAcquireOrdersTheAccesses) {
-  RaceDetector race;
+  MetricsRegistry metrics;
+  RaceDetector race(metrics);
   race.OnProcessStart(1, -1);
   race.OnProcessStart(2, -1);
   race.OnAccess(1, kWord, 4, true, 0x100);
@@ -71,7 +75,8 @@ TEST(RaceDetector, ReleaseAcquireOrdersTheAccesses) {
 }
 
 TEST(RaceDetector, SuccessfulCasIsAFullBarrier) {
-  RaceDetector race;
+  MetricsRegistry metrics;
+  RaceDetector race(metrics);
   race.OnProcessStart(1, -1);
   race.OnProcessStart(2, -1);
   race.OnAccess(1, kWord, 4, true, 0x100);
@@ -82,7 +87,8 @@ TEST(RaceDetector, SuccessfulCasIsAFullBarrier) {
 }
 
 TEST(RaceDetector, SpawnEdgeOrdersParentWritesBeforeChild) {
-  RaceDetector race;
+  MetricsRegistry metrics;
+  RaceDetector race(metrics);
   race.OnProcessStart(1, -1);
   race.OnAccess(1, kWord, 4, true, 0x100);
   race.OnProcessStart(2, -1);  // registered as a root (sys_spawn backend)...
@@ -92,7 +98,8 @@ TEST(RaceDetector, SpawnEdgeOrdersParentWritesBeforeChild) {
 }
 
 TEST(RaceDetector, ReapEdgeOrdersChildWritesBeforeWaiter) {
-  RaceDetector race;
+  MetricsRegistry metrics;
+  RaceDetector race(metrics);
   race.OnProcessStart(1, -1);
   race.OnProcessStart(2, -1);
   race.OnSpawn(1, 2);
@@ -106,7 +113,8 @@ TEST(RaceDetector, ReapEdgeOrdersChildWritesBeforeWaiter) {
 TEST(RaceDetector, SequentialRootProcessesAreOrdered) {
   // A root that starts after another process exited happens-after it — back-to-back
   // single-process runs over the same segment are not races.
-  RaceDetector race;
+  MetricsRegistry metrics;
+  RaceDetector race(metrics);
   race.OnProcessStart(1, -1);
   race.OnAccess(1, kWord, 4, true, 0x100);
   race.OnProcessExit(1);
@@ -116,7 +124,8 @@ TEST(RaceDetector, SequentialRootProcessesAreOrdered) {
 }
 
 TEST(RaceDetector, DedupsByPcPair) {
-  RaceDetector race;
+  MetricsRegistry metrics;
+  RaceDetector race(metrics);
   race.OnProcessStart(1, -1);
   race.OnProcessStart(2, -1);
   // The same racy loop body hits many words — one report, not one per word.
@@ -130,7 +139,8 @@ TEST(RaceDetector, DedupsByPcPair) {
 TEST(RaceDetector, MaxReportsCapsDistinctPairs) {
   RaceOptions options;
   options.max_reports = 3;
-  RaceDetector race(options);
+  MetricsRegistry metrics;
+  RaceDetector race(metrics, options);
   race.OnProcessStart(1, -1);
   race.OnProcessStart(2, -1);
   for (uint32_t i = 0; i < 8; ++i) {
@@ -143,9 +153,8 @@ TEST(RaceDetector, MaxReportsCapsDistinctPairs) {
 TEST(RaceDetector, SamplingSkipsAccessesButStaysEnabled) {
   RaceOptions options;
   options.sample_period = 1000;
-  RaceDetector race(options);
   MetricsRegistry metrics;
-  race.SetMetrics(&metrics);
+  RaceDetector race(metrics, options);
   race.OnProcessStart(1, -1);
   race.OnProcessStart(2, -1);
   for (uint32_t i = 0; i < 50; ++i) {
@@ -156,7 +165,8 @@ TEST(RaceDetector, SamplingSkipsAccessesButStaysEnabled) {
 }
 
 TEST(RaceDetector, ReportNamesTheSegment) {
-  RaceDetector race;
+  MetricsRegistry metrics;
+  RaceDetector race(metrics);
   race.SetAddrResolver([](uint32_t addr) -> std::string {
     return addr == kWord ? "/shm/rwho/db" : "?";
   });

@@ -163,7 +163,7 @@ TEST_P(StmtFuzzTest, CompiledMatchesInterpreter) {
   std::string expected;
   for (int i = 0; i < kVars; ++i) {
     body += StrFormat("  putint(%s);\n  puts(\"\\n\");\n", kVarNames[i]);
-    expected += PutIntText(vars[i]) + "\n";
+    expected += std::to_string(vars[i]) + "\n";
   }
   std::string program = "int g0;\nint g1;\nchar cg;\nint arr[4];\n"
                         "int id(int x) { return x + (x - x); }\n"  // clobbers $t3

@@ -10,10 +10,13 @@ not:
   * the fast-over-slow speedup ratios (engines measured in the same process on
     the same machine) must stay above their floors and within --tolerance of the
     baseline's ratios: the block-cache interpreter at --min-speedup (3x) and the
-    template-JIT tier at --min-jit-speedup (6x). The JIT gate enforces itself
-    only when the run actually compiled blocks (jit_compiled > 0) — a host that
-    cannot run generated code falls back to the block cache, and gating the
-    fallback at 6x would punish the architecture, not the change.
+    template-JIT tier at --min-jit-speedup (6x). Both rows run with repetitions;
+    the gate reads their median aggregate (the "<name>_median" row) and prints
+    the spread of the repetitions beside it, since a single run can swing by
+    ±5-10 % on a shared host. The JIT gate enforces itself only when the run
+    actually compiled blocks (jit_compiled > 0) — a host that cannot run
+    generated code falls back to the block cache, and gating the fallback at 6x
+    would punish the architecture, not the change.
 
 Usage: bench_compare.py BASELINE.json CURRENT.json [--tolerance 0.20]
                                                    [--min-speedup 3.0]
@@ -83,7 +86,19 @@ DETERMINISTIC_COUNTERS = (
 
 
 def load_benchmarks(path):
-    return {b["name"]: b for b in read_json(path).get("benchmarks", [])}
+    return read_json(path).get("benchmarks", [])
+
+
+def family(row):
+    """BM_InterpSpeedup for "BM_InterpSpeedup/repeats:5_median" and the like."""
+    return row.get("run_name", row["name"]).split("/")[0]
+
+
+def median_row(rows, name):
+    for b in rows:
+        if family(b) == name and b.get("aggregate_name") == "median":
+            return b
+    return None
 
 
 def within(old, new, tolerance):
@@ -245,8 +260,12 @@ def main():
     if args.baseline is None or args.current is None:
         parser.error("baseline and current are required unless --smp-scaling is given")
 
-    base = load_benchmarks(args.baseline)
-    cur = load_benchmarks(args.current)
+    base_rows = load_benchmarks(args.baseline)
+    cur_rows = load_benchmarks(args.current)
+    # Counters are compared per run; aggregate rows (mean, stddev, cv) summarize
+    # repetitions whose counters are identical anyway.
+    base = {b["name"]: b for b in base_rows if b.get("run_type") != "aggregate"}
+    cur = {b["name"]: b for b in cur_rows if b.get("run_type") != "aggregate"}
     failures = []
 
     for name, b in sorted(base.items()):
@@ -265,26 +284,32 @@ def main():
                 failures.append(f"{name}.{counter}: {old:.1f} -> {new:.1f}")
 
     def gate_speedup(name, min_floor, require_jit):
-        bench = cur.get(name)
+        bench = median_row(cur_rows, name)
         if bench is None or "speedup" not in bench:
-            failures.append(f"{name}.speedup: missing from current run")
+            failures.append(f"{name}.speedup: median aggregate missing from current "
+                            "run (was it run with repetitions?)")
             return
+        speedup = bench["speedup"]
+        runs = [b["speedup"] for b in cur_rows
+                if family(b) == name and b.get("run_type") != "aggregate"]
+        spread = (f"median of {len(runs)}, spread {min(runs):.2f}x-{max(runs):.2f}x"
+                  if runs else "median")
         if require_jit and bench.get("jit_compiled", 0) <= 0:
             # The tier never engaged (non-x86-64 host or hardened mmap): the run
             # fell back to the block cache, which has its own gate. Record, don't
             # gate — but only for the JIT row; the interpreter has no such out.
             print(f"skip {name}.speedup: no blocks compiled on this host "
-                  f"(ratio recorded at {bench['speedup']:.2f}x, not gated)")
+                  f"(ratio recorded at {speedup:.2f}x, {spread}, not gated)")
             return
-        speedup = bench["speedup"]
-        base_speedup = base.get(name, {}).get("speedup")
+        base_median = median_row(base_rows, name)
+        base_speedup = base_median.get("speedup") if base_median else None
         floor = min_floor
         if base_speedup is not None:
             floor = max(floor, base_speedup * (1.0 - args.tolerance))
         ok = speedup >= floor
         print(f"{'ok  ' if ok else 'FAIL'} {name}.speedup: "
-              f"current={speedup:.2f}x floor={floor:.2f}x "
-              f"(baseline={base_speedup if base_speedup is not None else 'n/a'})")
+              f"current={speedup:.2f}x ({spread}) floor={floor:.2f}x "
+              f"(baseline={f'{base_speedup:.2f}x' if base_speedup is not None else 'n/a'})")
         if not ok:
             failures.append(f"{name} speedup {speedup:.2f}x below floor {floor:.2f}x")
 

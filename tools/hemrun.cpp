@@ -617,36 +617,36 @@ int main(int argc, char** argv) {
   }
 
   if (stats) {
-    LdlStats s = run->ldl->stats();
+    auto ldl_row = [&run](const char* name) {
+      return static_cast<unsigned long long>(run->ldl->metrics().Get(name));
+    };
+    auto vm_row = [&world](const char* name) {
+      return static_cast<unsigned long long>(world.machine().metrics().Get(name));
+    };
     std::fprintf(stderr,
                  "[hemrun] lds: %u modules, %u trampolines, %u pending; "
-                 "ldl: %u located, %u created, %u attached, %u link faults, "
-                 "%u map faults, %u relocs applied\n",
+                 "ldl: %llu located, %llu created, %llu attached, %llu link faults, "
+                 "%llu map faults, %llu relocs applied\n",
                  report.modules_linked, report.trampolines, report.pending_relocs,
-                 s.modules_located, s.publics_created, s.publics_attached, s.link_faults,
-                 s.map_faults, s.relocs_applied);
+                 ldl_row("ldl.modules_located"), ldl_row("ldl.publics_created"),
+                 ldl_row("ldl.publics_attached"), ldl_row("ldl.link_faults"),
+                 ldl_row("ldl.map_faults"), ldl_row("ldl.relocs_applied"));
     if (manifest) {
       std::fprintf(stderr,
-                   "[hemrun] manifest: %u hits, %u misses, %u rebuilds, %u rejected\n",
-                   s.manifest_hits, s.manifest_misses, s.manifest_rebuilds,
-                   s.manifest_rejected);
+                   "[hemrun] manifest: %llu hits, %llu misses, %llu rebuilds, %llu rejected\n",
+                   ldl_row("ldl.manifest.hits"), ldl_row("ldl.manifest.misses"),
+                   ldl_row("ldl.manifest.rebuilds"), ldl_row("ldl.manifest.rejected"));
     }
     // Resource-pressure counters: a run that brushed the partition's limits shows
     // it here even when every individual syscall recovered.
-    MetricsSnapshot snap = world.machine().metrics().Snapshot();
     std::fprintf(stderr, "[hemrun] sfs: %llu enospc, %llu inode_exhausted\n",
-                 static_cast<unsigned long long>(snap.count("sfs.enospc") ? snap.at("sfs.enospc") : 0),
-                 static_cast<unsigned long long>(
-                     snap.count("sfs.inode_exhausted") ? snap.at("sfs.inode_exhausted") : 0));
-    auto jrow = [&snap](const char* name) -> unsigned long long {
-      return snap.count(name) ? static_cast<unsigned long long>(snap.at(name)) : 0;
-    };
+                 vm_row("sfs.enospc"), vm_row("sfs.inode_exhausted"));
     std::fprintf(stderr,
                  "[hemrun] jit: %llu compiled, %llu chained, %llu deopts, "
                  "%llu bailouts, %llu arena bytes\n",
-                 jrow("vm.jit.compiled_blocks"), jrow("vm.jit.chained"),
-                 jrow("vm.jit.deopts"), jrow("vm.jit.bailouts"),
-                 jrow("vm.jit.arena_bytes"));
+                 vm_row("vm.jit.compiled_blocks"), vm_row("vm.jit.chained"),
+                 vm_row("vm.jit.deopts"), vm_row("vm.jit.bailouts"),
+                 vm_row("vm.jit.arena_bytes"));
   }
   if (metrics) {
     MetricsSnapshot merged = world.machine().metrics().Snapshot();
